@@ -1,0 +1,8 @@
+"""``python -m benchmarks.e2e run|compare`` from the repo root."""
+
+import sys
+
+from benchmarks.e2e import _paths  # noqa: F401  (side effect: sys.path)
+from benchmarks.e2e.cli import main
+
+sys.exit(main())
