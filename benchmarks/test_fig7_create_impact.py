@@ -1,15 +1,14 @@
 """Benchmark: impact of snapshot creation on write latency (paper Figure 7).
 
-Runs the experiment once under pytest-benchmark (the measured quantity
-is simulator wall-clock; the experiment's own results are virtual-time
-rows saved to results/ and asserted against the paper's shape).
+Runs the experiment once and asserts its virtual-time rows against
+the paper's shape; the rows are saved to results/.
 """
 
 from repro.bench import exp_fig7
 
 
-def test_fig7_create_impact(benchmark):
-    result = benchmark.pedantic(exp_fig7, rounds=1, iterations=1)
+def test_fig7_create_impact():
+    result = exp_fig7()
     print()
     print(result.render())
     result.save()

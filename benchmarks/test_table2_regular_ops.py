@@ -1,15 +1,14 @@
 """Benchmark: regular read/write operations, vanilla vs ioSnap (paper Table 2).
 
-Runs the experiment once under pytest-benchmark (the measured quantity
-is simulator wall-clock; the experiment's own results are virtual-time
-rows saved to results/ and asserted against the paper's shape).
+Runs the experiment once and asserts its virtual-time rows against
+the paper's shape; the rows are saved to results/.
 """
 
 from repro.bench import exp_table2
 
 
-def test_table2_regular_ops(benchmark):
-    result = benchmark.pedantic(exp_table2, rounds=1, iterations=1)
+def test_table2_regular_ops():
+    result = exp_table2()
     print()
     print(result.render())
     result.save()

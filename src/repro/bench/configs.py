@@ -43,9 +43,9 @@ def bench_nand(geometry: NandGeometry) -> NandConfig:
 def bench_ftl_config(**overrides) -> FtlConfig:
     # The figure-reproduction experiments model the paper's device — a
     # single log head — and their setup code fills specific segments
-    # with specific LBAs, so they pin parallel_heads=1.  The saturation
-    # bench (repro.bench.parallel_guard) overrides this to measure the
-    # multi-queue data path.
+    # with specific LBAs, so they pin parallel_heads=1.  The channel
+    # sweep in tests/ftl/test_parallel_log.py overrides this to measure
+    # the multi-queue data path.
     defaults = dict(gc_low_watermark=4, gc_reserve_segments=2,
                     parallel_heads=1)
     defaults.update(overrides)

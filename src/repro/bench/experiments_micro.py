@@ -285,8 +285,8 @@ def exp_fig8(data_sizes: Tuple[int, ...] = (64, 256, 1024, 2048),
         # Figure 8 characterizes the paper's prototype, whose activation
         # always scans the whole log — its shape checks (scan phase is
         # constant for a fixed log size) only hold for full scans.  The
-        # selective/delta acceleration is measured separately by the
-        # activation perfguard (BENCH_PR4).
+        # selective/delta acceleration is asserted separately in
+        # tests/core/test_activation_accel.py.
         device = IoSnapDevice.create(kernel, bench_nand(medium_geometry()),
                                      bench_iosnap_config(
                                          selective_scan=False))

@@ -381,7 +381,7 @@ class IoSnapDevice(VslDevice):
         # validation-first (see repro.core.epoch_index).
         self._epoch_index = SegmentEpochIndex()
         # Activation acceleration counters, shared between the residue
-        # cache and the scan loops; surfaced via info() and perfguard.
+        # cache and the scan loops; surfaced via info() and benchmarks/e2e.
         self.activation_counters = Counters(
             "hits", "misses", "invalidations",
             "segments_skipped", "pages_scanned", "header_batches")

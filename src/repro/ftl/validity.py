@@ -16,7 +16,7 @@ set-bit iteration) are whole-word arithmetic: a masked ``bit_count()``
 replaces per-bit loops, a single big-int OR replaces per-byte merges,
 and iteration strips one set bit per step so all-zero words cost
 nothing.  ``PERF_COUNTERS`` records which engine path served each
-operation so benchmarks can assert the fast paths are actually used.
+operation so tests and benchmarks can assert the fast paths are used.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from typing import Dict, Iterator, List, Tuple
 from repro import sanitize
 from repro.errors import AddressError
 
-# Observability for the perf-regression harness (see bench/perfguard.py
-# and benchmarks/test_perfguard_fastpath.py): word_* count fast-path
-# invocations; bit_fallback counts per-bit reference/naive loops and
-# must stay zero on every production path.
+# Which engine path served each operation: word_* count fast-path
+# invocations (tests/ftl/test_validity_engine.py asserts a snapshot-aware
+# cleaner pass drives all three).  Nothing increments bit_fallback any
+# more; it stays because benchmarks/e2e reads it and guards it at 0.
 PERF_COUNTERS: Dict[str, int] = {
     "word_merge": 0,
     "word_count": 0,

@@ -12,8 +12,8 @@ test::
 
 When disarmed (the default) the hooks cost one module-attribute test
 per instrumented site and one identity check per kernel scheduling
-slow path — the perfguard asserts this stays under 5% on the fig12
-workload.  When armed, :func:`note` lazily attaches a
+slow path; ``host_ops_per_s`` in ``python -m benchmarks.e2e`` covers
+that cost.  When armed, :func:`note` lazily attaches a
 :class:`~repro.races.detector.RaceDetector` to the calling kernel (as
 its ``_race_hooks``), so a plain ``REPRO_RACES=1 pytest`` run gets
 strict raise-on-race detection with no per-test setup.  The explorer

@@ -53,7 +53,7 @@ class Counters:
 
     Unlike a bare dict, the name set is declared up front, so a typo'd
     ``bump`` raises instead of silently minting a new counter — these
-    feed assertions in perfguard and the bench suite, where a counter
+    feed assertions in the tests and the bench suite, where a counter
     that never moves because of a misspelling would pass vacuously.
     """
 

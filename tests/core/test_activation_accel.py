@@ -5,8 +5,12 @@ import random
 
 import pytest
 
+from repro.bench.configs import bench_iosnap_config, bench_nand, medium_geometry
 from repro.core.activation import _scan_for_path
+from repro.core.iosnap import IoSnapDevice
 from repro.ftl.ratelimit import NullLimiter
+from repro.sim import Kernel
+from repro.workloads import random_writes, run_stream
 
 from tests.conftest import make_iosnap
 
@@ -149,6 +153,51 @@ class TestWarmActivation:
         assert report["mode"] == "selective"
         counters = device.activation_counters.as_dict()
         assert counters["hits"] == 0 and counters["misses"] == 0
+
+
+class TestSpeedFloors:
+    """Virtual-time floors on the fig8-shaped device: an early snapshot
+    under a deep pile of unrelated log, activated in each mode."""
+
+    # Far below what the fast paths deliver here (~3x cold, ~100x warm)
+    # so only a scan that stopped skipping trips them.
+    WARM_SPEEDUP_FLOOR = 5.0
+    COLD_SPEEDUP_FLOOR = 2.0
+
+    @staticmethod
+    def _activate(device, name):
+        device.snapshot_activate(name).deactivate()
+        return device.snap_metrics.activation_reports[-1]
+
+    def test_selective_and_delta_beat_the_full_scan(self):
+        kernel = Kernel()
+        device = IoSnapDevice.create(kernel, bench_nand(medium_geometry()),
+                                     bench_iosnap_config())
+        for index in range(4):
+            run_stream(kernel, device,
+                       random_writes(256, 1024, seed=31 + index))
+            device.snapshot_create(f"snap-{index + 1}")
+
+        device.config.selective_scan = False
+        device._residues.clear()
+        full = self._activate(device, "snap-1")
+        device.config.selective_scan = True
+        device._residues.clear()
+        selective = self._activate(device, "snap-1")
+        # Dirty the log tail so the warm path folds a real delta.
+        run_stream(kernel, device, random_writes(32, device.num_lbas,
+                                                 seed=97))
+        warm = self._activate(device, "snap-1")
+
+        assert (full["mode"], selective["mode"], warm["mode"]) == (
+            "full", "selective", "delta")
+        assert full["entries"] == selective["entries"] == warm["entries"]
+        assert selective["segments_skipped"] > 0
+        assert warm["pages_scanned"] < full["pages_scanned"]
+        cold_speedup = full["total_ns"] / selective["total_ns"]
+        warm_speedup = full["total_ns"] / warm["total_ns"]
+        assert cold_speedup >= self.COLD_SPEEDUP_FLOOR, cold_speedup
+        assert warm_speedup >= self.WARM_SPEEDUP_FLOOR, warm_speedup
 
 
 class TestResidueCacheBookkeeping:

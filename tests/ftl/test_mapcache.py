@@ -12,9 +12,21 @@ import random
 
 import pytest
 
+from repro.bench.configs import (
+    bench_iosnap_config,
+    bench_nand,
+    medium_geometry,
+    small_geometry,
+)
 from repro.core.iosnap import IoSnapConfig, IoSnapDevice
 from repro.ftl.fsck import fsck
+from repro.ftl.mapcache import (
+    _BYTES_PER_ENTRY,
+    _BYTES_PER_REF,
+    _PAGE_FIXED_BYTES,
+)
 from repro.sim import Kernel
+from repro.workloads import mixed, random_writes, run_stream
 
 from tests.conftest import make_iosnap, tiny_geometry
 
@@ -247,3 +259,67 @@ class TestCrossMode:
                 continue
             assert cached.read(lba)[:len(data)] == data
         assert fsck(cached) == []
+
+
+class TestBounds:
+    """The two promises of the bounded map at bench scale: RAM is the
+    page budget plus the GTD, not O(mapped LBAs), and a working set that
+    fits the cache runs as fast as the all-RAM map in simulated time."""
+
+    BUDGET = 32
+    MAP_SPAN = 64
+
+    def _device(self, geometry, cached):
+        kernel = Kernel()
+        overrides = (dict(map_cache_pages=self.BUDGET, map_span=self.MAP_SPAN)
+                     if cached else {})
+        return kernel, IoSnapDevice.create(
+            kernel, bench_nand(geometry), bench_iosnap_config(**overrides))
+
+    def _filled(self, geometry, cached, seed):
+        kernel, device = self._device(geometry, cached)
+        count = int(device.num_lbas * 0.12)
+        run_stream(kernel, device,
+                   random_writes(count, device.num_lbas, seed=seed))
+        if cached:
+            # Follow-up touches drain the dirty-eviction backlog the
+            # tail of the fill left (evictions happen at fault time).
+            run_stream(kernel, device,
+                       random_writes(64, device.num_lbas, seed=99))
+        return device
+
+    def _declared_budget_bytes(self, device):
+        page = _PAGE_FIXED_BYTES + self.MAP_SPAN * _BYTES_PER_ENTRY
+        gtd = (_PAGE_FIXED_BYTES
+               + device.map.translation_pages * _BYTES_PER_REF)
+        dirty = _PAGE_FIXED_BYTES + self.BUDGET * _BYTES_PER_REF
+        return self.BUDGET * page + gtd + dirty
+
+    def test_map_ram_within_budget_and_sublinear(self):
+        small = self._filled(small_geometry(), cached=True, seed=3)
+        medium = self._filled(medium_geometry(), cached=True, seed=4)
+        ram = self._filled(medium_geometry(), cached=False, seed=4)
+        for device in (small, medium):
+            assert device.map.node_count() <= self.BUDGET
+            assert (device.map.memory_bytes()
+                    <= self._declared_budget_bytes(device))
+        # 8x the device, at most 4x the map RAM: only the GTD grows.
+        assert medium.map.memory_bytes() <= 4 * small.map.memory_bytes()
+        assert 2 * medium.map.memory_bytes() <= ram.map.memory_bytes()
+
+    def _hot_run_ns(self, cached):
+        kernel, device = self._device(small_geometry(), cached)
+        hot_span = self.BUDGET * self.MAP_SPAN // 2  # half the cache's reach
+        run_stream(kernel, device, random_writes(hot_span, hot_span, seed=5))
+        if cached:
+            device.map.counters.reset()
+        started_ns = kernel.now
+        run_stream(kernel, device,
+                   mixed(1500, hot_span, read_fraction=0.5, seed=17))
+        return kernel.now - started_ns, device
+
+    def test_hot_working_set_runs_at_ram_speed(self):
+        ram_ns, _ = self._hot_run_ns(cached=False)
+        cached_ns, device = self._hot_run_ns(cached=True)
+        assert device.map.stats()["hit_rate"] >= 0.85
+        assert ram_ns / cached_ns >= 0.9, ram_ns / cached_ns

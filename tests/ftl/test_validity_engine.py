@@ -18,7 +18,15 @@ from repro.core.cow_bitmap import (
     merged_iter_range,
 )
 from repro.errors import SnapshotError
-from repro.ftl.validity import ValidityBitmap, merge_pages, popcount
+from repro.ftl.validity import (
+    PERF_COUNTERS,
+    ValidityBitmap,
+    merge_pages,
+    popcount,
+    reset_perf_counters,
+)
+
+from tests.conftest import make_iosnap
 
 TOTAL_BITS = 4 * 1024          # a few bitmap pages at small page_bytes
 PAGE_BYTES = 64                # 512 bits/page -> page-boundary coverage
@@ -190,3 +198,24 @@ class TestCowBitmapEquivalence:
         for start, length in random_ranges(rng, 30):
             expected = sum(1 for b in union if start <= b < start + length)
             assert merged_count_range(bitmaps, start, length) == expected
+
+
+def test_snapshot_aware_cleaning_rides_the_word_engine(kernel):
+    """A cleaner pass over segments whose validity spans a snapshot
+    epoch must count, iterate and merge through the word-level paths,
+    so the engine cannot silently fall out of the data path."""
+    device = make_iosnap(kernel)
+    rng = random.Random(17)
+    span = 512
+    for _ in range(3 * span):         # overwrites leave invalid pages
+        device.write(rng.randrange(span))
+    device.snapshot_create("s")
+    for _ in range(2 * span):
+        device.write(rng.randrange(span))
+
+    reset_perf_counters()
+    candidate = device.cleaner.select_candidate()
+    assert candidate is not None
+    device.cleaner.force_clean(candidate)
+    for name in ("word_merge", "word_count", "word_iter"):
+        assert PERF_COUNTERS[name] > 0, name
