@@ -41,7 +41,6 @@ from repro.ftl.packet import (
     encode_note,
 )
 from repro.ftl.vsl import FtlConfig, VslDevice
-from repro.races import runtime as races
 from repro.nand.oob import OobHeader, PageKind
 
 
@@ -408,8 +407,6 @@ class IoSnapDevice(VslDevice):
     def _install_mapping(self, lba: int, ppn: int) -> Generator:
         yield from self._map_fault(lba)
         bitmap = self.active_bitmap
-        if races.enabled:
-            races.note(self.kernel, f"ftl.map:{lba}", "w")
         old = self.map.insert(lba, ppn)
         copies = 1 if bitmap.set(ppn) else 0
         if old is not None:
@@ -506,11 +503,7 @@ class IoSnapDevice(VslDevice):
         for epoch, bitmap in referencing:
             adjustments += 1
             if epoch == active_epoch:
-                if races.enabled:
-                    races.note(self.kernel, f"ftl.map:{header.lba}", "r")
                 if self.map.get(header.lba) == old_ppn:
-                    if races.enabled:
-                        races.note(self.kernel, f"ftl.map:{header.lba}", "w")
                     self.map.insert(header.lba, new_ppn)
                     bitmap.clear(old_ppn)
                     bitmap.set(new_ppn)

@@ -144,13 +144,3 @@ class SummaryIndexError(FtlError):
     describe; callers fall back to rebuilding the index from media.
     """
 
-
-class RaceError(ReproError):
-    """The lockset race detector found a data race (see :mod:`repro.races`).
-
-    Raised at the second conflicting access when ``REPRO_RACES=1`` arms
-    the Eraser-style detector in strict mode; the message carries both
-    access stacks.  The schedule-perturbation explorer collects these
-    instead of raising, and shrinks the triggering workload to a JSON
-    repro.
-    """

@@ -44,7 +44,6 @@ from repro import sanitize
 from repro.errors import FtlError, OutOfSpaceError, ProgramFailError
 from repro.nand.device import NandDevice
 from repro.nand.oob import OobHeader, PageKind
-from repro.races import runtime as races
 from repro.sim import Event, Kernel, Lock
 from repro.torture import sites
 
@@ -231,8 +230,7 @@ class Log:
         # Every critical section under it is yield-free, so the lock
         # never blocks — try_acquire() must always succeed, and the
         # span exists to *declare* the protocol: the lock-order and
-        # yield-discipline lint rules (IOL008/IOL009) and the runtime
-        # lockset detector all key off it.
+        # yield-discipline lint rules (IOL008/IOL009) key off it.
         self._alloc_lock = Lock(kernel, name="log.free")
         self._space_waiters: List[Event] = []
         self.stats = LogStats()
@@ -359,8 +357,6 @@ class Log:
             wait_ev: Optional[Event] = None
             try:
                 while True:
-                    if races.enabled:
-                        races.note(self.kernel, f"log.head:{head}", "w")
                     seg = self._open.get(head)
                     if seg is None or seg.next_offset >= seg.npages:
                         wait_ev = yield from self._open_new_segment(privileged,
@@ -439,8 +435,6 @@ class Log:
         """Open a fresh segment; returns a wait event instead if out of space."""
         stripe = self.stripe_of_head(head)
         while True:
-            if races.enabled:
-                races.note(self.kernel, f"log.head:{head}", "w")
             index = self._pop_free_index(privileged, stripe)
             if index is None:
                 ev = self.kernel.event()
@@ -508,8 +502,6 @@ class Log:
             raise FtlError("allocator lock contended in _pop_free_index: "
                            "a free-pool critical section grew a yield")
         try:
-            if races.enabled:
-                races.note(self.kernel, "log.free", "w")
             order = [(stripe + i) % self.num_stripes
                      for i in range(self.num_stripes)]
             for candidate in order:
@@ -552,8 +544,6 @@ class Log:
             seg = self._open.get(head)
             if seg is None or seg.next_offset <= 1:
                 return False
-            if races.enabled:
-                races.note(self.kernel, f"log.head:{head}", "w")
             seg.state = SegmentState.CLOSED
             self._open[head] = None
             return True
@@ -579,8 +569,6 @@ class Log:
             raise FtlError("allocator lock contended in release_segment: "
                            "a free-pool critical section grew a yield")
         try:
-            if races.enabled:
-                races.note(self.kernel, "log.free", "w")
             if self.reserve_segment_count() < self._reserve_target:
                 self._reserve[stripe].append(index)
                 return
@@ -607,8 +595,6 @@ class Log:
             raise FtlError("allocator lock contended in retire_segment: "
                            "a free-pool critical section grew a yield")
         try:
-            if races.enabled:
-                races.note(self.kernel, "log.free", "w")
             for pool in (self._free, self._reserve):
                 for entries in pool:
                     if index in entries:
@@ -643,8 +629,6 @@ class Log:
             raise FtlError("allocator lock contended in adopt_state: "
                            "a free-pool critical section grew a yield")
         try:
-            if races.enabled:
-                races.note(self.kernel, "log.free", "w")
             self._free = [[] for _ in range(self.num_stripes)]
             self._reserve = [[] for _ in range(self.num_stripes)]
             self._open = {}

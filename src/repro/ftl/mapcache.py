@@ -35,8 +35,9 @@ unpaid-for, and counted in ``sync_faults``.
 Every post-yield mutation goes through a synchronous commit helper
 that re-validates its precondition in the same scheduler resumption
 (``_install_faulted``, ``_commit_gtd``), which is exactly the
-cooperative-atomicity discipline IOL009 and the ``map.cache`` registry
-entry in :mod:`repro.races.shared` demand.
+cooperative-atomicity discipline IOL009 and the map-cache registry
+entry (``_gtd``/``_pages``/``_dirty``) in :mod:`repro.lint.shared`
+demand.
 
 Crash story: map flushes are made durable (the program's done event is
 awaited) *before* the GTD adopts the new PPN, and recovery never reads
@@ -54,7 +55,6 @@ from typing import Dict, Generator, Iterator, List, Optional, Tuple
 from repro.errors import CheckpointError, UncorrectableError
 from repro.ftl.packet import decode_payload, encode_payload
 from repro.nand.oob import OobHeader, PageKind
-from repro.races import runtime as races
 from repro.sim.stats import Counters
 from repro.torture import sites
 
@@ -148,8 +148,6 @@ class MapCache:
 
     # -- synchronous facade (never yields; always self-sufficient) ---------
     def get(self, lba: int) -> Optional[int]:
-        if races.enabled:
-            races.note(self._ftl.kernel, "map.cache", "r")
         page = self._resident(lba // self.span, fault=True)
         return page.entries[lba % self.span]
 
@@ -161,8 +159,6 @@ class MapCache:
         return page.entries[lba % self.span]
 
     def insert(self, lba: int, ppn: int) -> Optional[int]:
-        if races.enabled:
-            races.note(self._ftl.kernel, "map.cache", "w")
         page = self._resident(lba // self.span, fault=True)
         old = page.entries[lba % self.span]
         page.entries[lba % self.span] = ppn
@@ -172,8 +168,6 @@ class MapCache:
         return old
 
     def delete(self, lba: int) -> Optional[int]:
-        if races.enabled:
-            races.note(self._ftl.kernel, "map.cache", "w")
         page = self._resident(lba // self.span, fault=True)
         old = page.entries[lba % self.span]
         if old is None:
@@ -213,8 +207,6 @@ class MapCache:
         the following sync facade op re-faults for free if the page is
         evicted again in between.
         """
-        if races.enabled:
-            races.note(self._ftl.kernel, "map.cache", "r")
         page = self._pages.get(tidx)
         if page is not None:
             self._pages.move_to_end(tidx)
@@ -241,8 +233,6 @@ class MapCache:
         while len(self._pages) > self.budget_pages:
             victim = next(iter(self._pages.values()))
             if not victim.dirty:
-                if races.enabled:
-                    races.note(self._ftl.kernel, "map.cache", "w")
                 del self._pages[victim.tidx]
                 self.counters.bump("evictions")
                 continue
@@ -440,9 +430,6 @@ class MapCache:
         installed the page (theirs may be newer) or if the GTD moved
         off the PPN we read from (ours is definitely stale).
         """
-        if races.enabled:
-            races.note(self._ftl.kernel, "map.cache", "r")
-            races.note(self._ftl.kernel, "map.cache", "w")
         if tidx in self._pages:
             return
         if self._gtd[tidx] != src_ppn:
@@ -458,9 +445,6 @@ class MapCache:
         already superseded it and the relocated copy is garbage.
         Maintains the per-segment live-page accounting either way.
         """
-        if races.enabled:
-            races.note(self._ftl.kernel, "map.cache", "r")
-            races.note(self._ftl.kernel, "map.cache", "w")
         old = self._gtd[tidx]
         if expect is not None and old != expect:
             return

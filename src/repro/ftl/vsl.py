@@ -38,7 +38,6 @@ from repro.ftl.validity import ValidityBitmap
 from repro.nand.device import NandDevice
 from repro.nand.geometry import NandConfig
 from repro.nand.oob import OobHeader, PageKind
-from repro.races import runtime as races
 from repro.sim import Kernel
 
 
@@ -406,12 +405,8 @@ class VslDevice:
             epoch = header.epoch
             if header.kind is PageKind.DATA:
                 lba = header.lba
-        if races.enabled and lba is not None:
-            races.note(self.kernel, f"ftl.map:{lba}", "r")
         mapped = lba is not None and self.map.get(lba) == ppn
         if mapped:
-            if races.enabled:
-                races.note(self.kernel, f"ftl.map:{lba}", "w")
             self.map.delete(lba)
         self._clear_valid_everywhere(ppn, lba)
         self._note_registry.pop(ppn, None)
@@ -524,8 +519,6 @@ class VslDevice:
         self._check_lba(lba)
         self.metrics.reads += 1
         yield from self._map_fault(lba)
-        if races.enabled:
-            races.note(self.kernel, f"ftl.map:{lba}", "r")
         ppn = self.map.get(lba)
         sequential = (self._last_read_lba is not None
                       and lba == self._last_read_lba + 1)
@@ -588,8 +581,6 @@ class VslDevice:
             self._on_packet_appended(ppn, header)
             self._note_registry[ppn] = note
             yield from self._map_fault(lba)
-            if races.enabled:
-                races.note(self.kernel, f"ftl.map:{lba}", "w")
             old = self.map.delete(lba)
             if old is not None:
                 yield from self._uninstall_mapping(old)
@@ -937,8 +928,6 @@ class VslDevice:
     def _install_mapping(self, lba: int, ppn: int) -> Generator:
         """Point ``lba`` at ``ppn``, invalidating any older location."""
         yield from self._map_fault(lba)
-        if races.enabled:
-            races.note(self.kernel, f"ftl.map:{lba}", "w")
         old = self.map.insert(lba, ppn)
         self._set_valid(ppn)
         if old is not None:
@@ -974,11 +963,7 @@ class VslDevice:
                   header: OobHeader) -> Generator:
         """Fix maps/bitmaps after the cleaner copied old -> new."""
         yield from self._map_fault(header.lba)
-        if races.enabled:
-            races.note(self.kernel, f"ftl.map:{header.lba}", "r")
         if self.map.get(header.lba) == old_ppn:
-            if races.enabled:
-                races.note(self.kernel, f"ftl.map:{header.lba}", "w")
             self.map.insert(header.lba, new_ppn)
             self._clear_valid(old_ppn)
             self._set_valid(new_ppn)

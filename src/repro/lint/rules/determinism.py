@@ -20,7 +20,7 @@ from repro.lint.violations import Violation
 # Layers that must be deterministic.  bench/ is exempt by design: it
 # measures the simulator's real wall-clock cost.
 SCOPED_DIRS = ("sim/", "ftl/", "core/", "nand/", "workloads/", "torture/",
-               "faults/", "replicate/", "races/")
+               "faults/", "replicate/")
 
 WALLCLOCK_CALLS = frozenset({
     "time.time", "time.time_ns",

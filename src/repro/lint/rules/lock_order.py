@@ -2,7 +2,7 @@
 
 Deadlock needs four ingredients; the one a linter can kill is circular
 wait.  This rule collects, per function, which lock *classes* (see
-:mod:`repro.races.shared`) are acquired while which others are held —
+:mod:`repro.lint.shared`) are acquired while which others are held —
 interprocedurally, by propagating each callee's transitively-acquired
 classes to its ``self.<method>()`` call sites — and builds one global
 acquisition-order graph over the whole source tree.  A cycle means two

@@ -2,13 +2,13 @@
 
 Both rules need the same intraprocedural facts about a function:
 which expressions denote locks of which *class* (see
-:mod:`repro.races.shared`), where each class is acquired and released,
+:mod:`repro.lint.shared`), where each class is acquired and released,
 the resulting textual spans, and which lock classes are held at each
 outgoing call.  This module computes them once, by a line-ordered scan:
 
 * **classification** — ``self._alloc_lock`` and friends via
-  :data:`repro.races.shared.LOCK_ATTRS`; ``self._lock_for(head)`` via
-  :data:`~repro.races.shared.LOCK_FACTORIES`; ``Lock(k, name="x:y")``
+  :data:`repro.lint.shared.LOCK_ATTRS`; ``self._lock_for(head)`` via
+  :data:`~repro.lint.shared.LOCK_FACTORIES`; ``Lock(k, name="x:y")``
   constructors via the name prefix; locals assigned from any of these
   (including through subscripts, ``die = self.dies[i]``) propagate.
 * **events** — every ``<lock>.acquire()`` / ``try_acquire()`` is an
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint import astutil
-from repro.races import shared
+from repro.lint import shared
 
 #: Layers where lock discipline is checked (mirrors IOL003's scope).
 SCOPED_DIRS = ("sim/", "ftl/", "core/", "nand/", "workloads/", "torture/",

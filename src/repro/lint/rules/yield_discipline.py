@@ -2,7 +2,7 @@
 
 Every ``yield`` is a scheduling point: whatever invariant a function
 was mid-way through re-establishing is visible to every other process.
-For the shared state declared in :mod:`repro.races.shared` this rule
+For the shared state declared in :mod:`repro.lint.shared` this rule
 enforces two disciplines per function:
 
 **(a) declared-lock writes.**  Attributes whose registry entry names a
@@ -38,7 +38,7 @@ from repro.lint.rules import lockmodel
 from repro.lint.rules.base import Rule
 from repro.lint.source import ModuleSource
 from repro.lint.violations import Violation
-from repro.races import shared
+from repro.lint import shared
 
 #: Method names that mutate their receiver (containers, maps, bitmaps).
 MUTATORS = frozenset({

@@ -1,52 +1,8 @@
-"""Concurrency analysis for the simulated data path (``repro.races``).
+"""Compatibility stub: the runtime race detector has been removed.
 
-Three coordinated pieces (see ``docs/races.md``):
-
-* a **shared-state registry** (:mod:`repro.races.shared`) declaring
-  which FTL state is concurrently touched and what protects it — the
-  single source of truth for the static lint rules IOL008–IOL010 and
-  the dynamic detector;
-* an **Eraser-style lockset race detector** with vector-clock epochs
-  (:mod:`repro.races.detector`), armed by ``REPRO_RACES=1`` via
-  :mod:`repro.races.runtime`;
-* a **schedule-perturbation explorer** (``python -m repro.races``):
-  seeded randomization of the kernel's ready-queue tiebreak over
-  torture workloads with the detector armed, shrinking findings to
-  JSON repros.
-
-Imports are lazy (PEP 562) so instrumented hot-path modules importing
-:mod:`repro.races.runtime` never pull in the explorer (and its torture
-dependencies).
+Concurrency discipline is checked statically by the lint rules
+IOL008–IOL010 over the registry in :mod:`repro.lint.shared` (see
+``docs/lint.md``); schedule perturbation is the scenario campaign's
+``shuffled`` axis.  Only :mod:`repro.races.runtime` remains, for the
+one external reader named there.
 """
-
-from __future__ import annotations
-
-from typing import Any
-
-_EXPORTS = {
-    "RaceDetector": ("repro.races.detector", "RaceDetector"),
-    "RaceReport": ("repro.races.detector", "RaceReport"),
-    "REGISTRY": ("repro.races.shared", "REGISTRY"),
-    "SharedState": ("repro.races.shared", "SharedState"),
-    "attach": ("repro.races.runtime", "attach"),
-    "detach": ("repro.races.runtime", "detach"),
-    "enable": ("repro.races.runtime", "enable"),
-    "explore_seed": ("repro.races.explorer", "explore_seed"),
-    "sweep": ("repro.races.explorer", "sweep"),
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))

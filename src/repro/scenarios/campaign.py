@@ -53,12 +53,18 @@ from repro.torture.workload import Op
 # natural shape (one log head per channel, all-RAM forward map);
 # "single-head" pins the classic serial layout; "mapcache" runs the
 # flash-resident mapping cache with a small resident budget so the
-# demand-paging path is actually exercised.
+# demand-paging path is actually exercised; "shuffled" is the default
+# device under a seeded random order of same-timestamp processes, so
+# interleavings the FIFO kernel never produces face every oracle.
 AXES: Dict[str, Dict[str, int]] = {
     "default": {},
     "single-head": {"parallel_heads": 1},
     "mapcache": {"map_cache_pages": 8},
+    "shuffled": {"schedule_seed": 1},
 }
+
+# The smoke profile's axes: the natural device, FIFO and perturbed.
+SMOKE_AXES = ("default", "shuffled")
 
 # Scenarios that run an extra fault combo in the nightly profile, on
 # top of every needs_faults scenario (which runs *only* as a fault
@@ -140,7 +146,7 @@ def plan_combos(profile: str, scenarios: Optional[List[str]] = None,
     for name in wanted:
         spec = specs[name]
         if not spec.needs_faults:
-            axes = list(AXES) if profile == "nightly" else ["default"]
+            axes = list(AXES) if profile == "nightly" else list(SMOKE_AXES)
             for axis in axes:
                 combos.append(Combo(name, axis, faults=False, cuts=cuts))
         if spec.needs_faults or (profile == "nightly"

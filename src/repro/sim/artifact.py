@@ -1,6 +1,6 @@
 """The shared repro-artifact envelope every rig CLI writes.
 
-The torture, media-fault, replication, race, and scenario rigs all
+The torture, media-fault, replication and scenario rigs all
 emit JSON repro artifacts so CI can upload a failing case and a human
 (or the rig itself) can replay it.  Before this module each CLI
 hand-rolled a slightly different format; now every artifact carries
@@ -44,7 +44,6 @@ KINDS = (
     "torture-repro",
     "fault-campaign-repro",
     "replicate-repro",
-    "races-findings",
     "scenario-repro",
     "scenario-campaign-state",
 )

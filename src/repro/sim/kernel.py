@@ -198,7 +198,8 @@ class Kernel:
         # repro.sim.resources) — scanned by the deadlock reporter and
         # the kill sanitizer; both are cold paths.
         self._resources: List[Any] = []
-        # Schedule perturbation (the repro.races explorer): a seeded
+        # Schedule perturbation (the scenario campaign's "shuffled"
+        # axis, TortureConfig.schedule_seed): a seeded
         # random.Random-like object.  When set, the ready-deque pick is
         # randomized among the zero-delay items at the current
         # timestamp — every such interleaving is a legal cooperative
@@ -206,10 +207,6 @@ class Kernel:
         # kernel itself stays deterministic: it never constructs an
         # RNG, it only consumes one handed in by the caller.
         self._sched_rng = schedule_rng
-        # Race-detector hooks (repro.races.runtime installs these when
-        # REPRO_RACES=1): None means disarmed and costs one identity
-        # check on the scheduling slow paths.
-        self._race_hooks: Any = None
 
     @property
     def now(self) -> int:
@@ -227,8 +224,6 @@ class Kernel:
         self._procs.add(proc)
         self._seq += 1
         self._ready.append((self._seq, proc, None, None))
-        if self._race_hooks is not None:
-            self._race_hooks.on_wake(self.current, proc)
         return proc
 
     def timeout(self, delay: int) -> Event:
@@ -275,11 +270,6 @@ class Kernel:
                 value()
             else:
                 self.current = proc
-                # Read live (not cached): REPRO_RACES=1 attaches hooks
-                # lazily at the first instrumented access, mid-run.
-                hooks = self._race_hooks
-                if hooks is not None:
-                    hooks.on_resume(proc)
                 self._step(proc, value, error)
             if self._failed:
                 self._raise_unobserved()
@@ -318,9 +308,6 @@ class Kernel:
                 value()
             else:
                 self.current = item
-                hooks = self._race_hooks
-                if hooks is not None:
-                    hooks.on_resume(item)
                 self._step(item, value, error)
             if self._failed:
                 self._raise_unobserved()
@@ -406,8 +393,6 @@ class Kernel:
         # Zero-delay resume: straight onto the ready deque, no heap op.
         self._seq += 1
         self._ready.append((self._seq, proc, value, error))
-        if self._race_hooks is not None:
-            self._race_hooks.on_wake(self.current, proc)
 
     def _note_unobserved_failure(self, proc: Process) -> None:
         self._failed.append(proc)

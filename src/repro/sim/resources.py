@@ -14,7 +14,7 @@ returned from :meth:`Resource.acquire` and must call
 Resources track *who* holds them (the process whose generator performed
 the acquire, ``None`` for code running outside the loop) and who is
 parked waiting — this is what the kernel's waits-for deadlock report
-and the ``repro.races`` lockset detector read.  A deliberate
+and the kill sanitizer read.  A deliberate
 cross-process transfer (the buffered-program die, freed later by a
 timer callback) calls :meth:`hand_off` so the bookkeeping follows the
 protocol instead of blaming the original acquirer.
@@ -73,7 +73,7 @@ class Resource:
         ev._resource = self
         if self._in_use < self.capacity:
             self._in_use += 1
-            self._grant(actor)
+            self._holders.append(actor)
             ev.trigger()
         else:
             self._check_self_deadlock(actor)
@@ -84,7 +84,7 @@ class Resource:
         """Non-blocking acquire; returns True if capacity was taken."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            self._grant(self.kernel.current)
+            self._holders.append(self.kernel.current)
             return True
         return False
 
@@ -101,7 +101,7 @@ class Resource:
             # Hand the capacity straight to the next waiter: _in_use
             # stays constant across the hand-off.
             ev, waiter = self._waiting.popleft()
-            self._grant(waiter)
+            self._holders.append(waiter)
             ev.trigger()
         else:
             self._in_use -= 1
@@ -122,32 +122,18 @@ class Resource:
         self._holders.append(None)
 
     # -- bookkeeping internals -------------------------------------------
-    def _grant(self, actor: Any) -> None:
-        self._holders.append(actor)
-        hooks = self.kernel._race_hooks
-        if hooks is not None:
-            hooks.on_acquire(self, actor)
-
     def _ungrant(self, actor: Any) -> None:
         # Releases normally come from the holder; a release on behalf
         # of an anonymous hand-off (or a foreign context) retires the
         # anonymous unit first, then an arbitrary one.
         holders = self._holders
-        released: Any = None
         for candidate in (actor, None):
             for i, h in enumerate(holders):
                 if h is candidate:
-                    released = holders.pop(i)
-                    break
-            else:
-                continue
-            break
-        else:
-            if holders:
-                released = holders.pop(0)
-        hooks = self.kernel._race_hooks
-        if hooks is not None:
-            hooks.on_release(self, released)
+                    del holders[i]
+                    return
+        if holders:
+            del holders[0]
 
     def _check_self_deadlock(self, actor: Any) -> None:
         """Hook for Lock's nested-acquire guard; no-op for capacity > 1."""

@@ -20,6 +20,7 @@ One torture case is ``run_with_cut(script, target)``:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -66,6 +67,16 @@ class TortureConfig:
     # reopen.  The model oracle mirrors the same policy.
     snapshot_limit: int = 0
     snapshot_auto_delete: bool = False
+    # None = the kernel's FIFO schedule; an int seeds a random pick
+    # among same-timestamp runnable processes (Kernel(schedule_rng=)),
+    # on the run and on every reopen.  Every such order is a legal
+    # cooperative schedule, so every oracle must still pass.
+    schedule_seed: Optional[int] = None
+
+    def kernel(self) -> Kernel:
+        if self.schedule_seed is None:
+            return Kernel()
+        return Kernel(schedule_rng=random.Random(self.schedule_seed))
 
     def device_config(self) -> IoSnapConfig:
         return IoSnapConfig(parallel_heads=self.parallel_heads,
@@ -127,7 +138,7 @@ class TortureFailure(AssertionError):
 # ---------------------------------------------------------------------------
 def _build_device(config: TortureConfig,
                   fault_plan: Optional[FaultPlan] = None) -> IoSnapDevice:
-    kernel = Kernel()
+    kernel = config.kernel()
     faults = MediaFaultModel(fault_plan) if fault_plan is not None else None
     return IoSnapDevice.create(
         kernel, config.nand_config(), config.device_config(),
@@ -337,10 +348,10 @@ def _reopen(old_nand: NandDevice,
     the :class:`~repro.faults.model.MediaFaultModel` transplants along
     with the array.  Every in-flight process, event, and in-memory FTL
     structure dies with the abandoned kernel.  ``config`` re-applies
-    host configuration (head layout, flash-resident-map mode) that is
-    not part of the media format.
+    host configuration (head layout, flash-resident-map mode, schedule
+    seed) that is not part of the media format.
     """
-    kernel = Kernel()
+    kernel = config.kernel() if config is not None else Kernel()
     nand = NandDevice(kernel, old_nand.config, faults=old_nand.faults)
     nand.array = old_nand.array
     nand.superblock = dict(old_nand.superblock)

@@ -7,6 +7,7 @@ from repro.ftl.log import Log, SegmentState
 from repro.nand.device import NandDevice
 from repro.nand.geometry import NandConfig, NandGeometry
 from repro.nand.oob import OobHeader, PageKind
+from repro.sim import Lock
 
 
 @pytest.fixture
@@ -87,6 +88,33 @@ class TestAppend:
         assert not done.triggered
         kernel.run()
         assert done.triggered
+
+
+def _concurrent_appends_seq_by_ppn(kernel, log):
+    """Three same-head appends spawned together on a fresh log: the
+    first parks on the segment-header program, the others race it."""
+    procs = [kernel.spawn(log.append(data_header(lba=seq, seq=seq), None),
+                          name=f"append-{seq}")
+             for seq in (1, 2, 3)]
+    kernel.run()
+    placed = sorted((proc.result[0], seq)
+                    for proc, seq in zip(procs, (1, 2, 3)))
+    return [seq for _ppn, seq in placed]
+
+
+def test_head_lock_keeps_same_head_appends_in_seq_order(kernel, log):
+    """Control: per-head seq order on flash is what recovery rests on."""
+    assert _concurrent_appends_seq_by_ppn(kernel, log) == [1, 2, 3]
+
+
+def test_removing_head_lock_breaks_per_head_seq_order(kernel, log,
+                                                      monkeypatch):
+    """Mutation: a fresh head lock per call is no mutual exclusion, so
+    later appends slip into the segment ahead of the one opening it."""
+    monkeypatch.setattr(
+        Log, "_lock_for",
+        lambda self, head: Lock(self.kernel, name=f"log.head:{head}"))
+    assert _concurrent_appends_seq_by_ppn(kernel, log) != [1, 2, 3]
 
 
 class TestSpaceManagement:

@@ -1,7 +1,7 @@
 """Fixture tests for the concurrency rules IOL008/IOL009/IOL010.
 
 Fixtures are written as ``ftl/log.py`` inside the box tree because the
-shared-state registry (:mod:`repro.races.shared`) scopes its entries to
+shared-state registry (:mod:`repro.lint.shared`) scopes its entries to
 exact package-relative modules.
 """
 

@@ -134,21 +134,47 @@ def test_iol009_fires_when_free_pool_span_is_stripped(box):
     assert "IOL009" in box.codes(mutated)
 
 
+def test_iol009_fires_when_release_segment_span_is_stripped(box):
+    """Naked free-list returns: the pool write the concurrent openers'
+    draws race with, on the reclamation side of the allocator."""
+    mutated = _mutate(
+        box, "ftl/log.py",
+        "        if not self._alloc_lock.try_acquire():\n"
+        '            raise FtlError("allocator lock contended in '
+        'release_segment: "\n'
+        '                           "a free-pool critical section grew a '
+        'yield")\n'
+        "        try:",
+        "        try:")
+    assert "IOL009" in box.codes(mutated)
+
+
 def test_iol008_fires_on_seeded_lock_inversion(box):
     """Take a head lock inside the allocator span: free -> head edge,
     while append() owns the established head -> free edge."""
     mutated = _mutate(
         box, "ftl/log.py",
-        '            if races.enabled:\n'
-        '                races.note(self.kernel, "log.free", "w")\n'
+        "        try:\n"
         "            order = [(stripe + i) % self.num_stripes",
-        '            if races.enabled:\n'
-        '                races.note(self.kernel, "log.free", "w")\n'
+        "        try:\n"
         '            hlock = self._lock_for("user")\n'
         "            hlock.try_acquire()\n"
         "            hlock.release()\n"
         "            order = [(stripe + i) % self.num_stripes")
     assert "IOL008" in box.codes(mutated)
+
+
+def test_iol009_fires_when_map_fault_installs_without_revalidating(box):
+    """Install the faulted translation page straight after the flash
+    read: the residency check before the yield goes stale, and a page a
+    concurrent process installed (or a GTD move) is clobbered."""
+    mutated = _mutate(
+        box, "ftl/mapcache.py",
+        "        self._install_faulted(tidx, src_ppn, entries)\n"
+        "        yield from self._evict_proc()",
+        "        self._pages[tidx] = TranslationPage(tidx, entries)\n"
+        "        yield from self._evict_proc()")
+    assert "IOL009" in box.codes(mutated)
 
 
 def test_iol010_fires_when_cleanup_blocks_on_a_lock(box):
@@ -170,7 +196,8 @@ def test_iol010_fires_when_cleanup_blocks_on_a_lock(box):
     "core/snaptree.py", "nand/device.py", "core/cow_bitmap.py",
     "ftl/checkpoint.py", "baselines/btrfs.py", "ftl/recovery.py",
     "ftl/scrub.py", "ftl/log.py", "torture/model.py", "faults/model.py",
-    "faults/ecc.py", "faults/damage.py",
+    "faults/ecc.py", "faults/damage.py", "ftl/vsl.py", "core/iosnap.py",
+    "ftl/mapcache.py", "replicate/cursor.py",
 ])
 def test_production_modules_lint_clean_as_controls(box, package_rel):
     copy = box.write(package_rel,

@@ -1,15 +1,21 @@
 """Campaign engine: determinism, resume equivalence, mutation teeth."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scenarios.campaign import (
     AXES,
+    Combo,
+    combo_config,
     plan_combos,
     replay_scenario_repro,
     run_campaign,
 )
+from repro.scenarios.compile import compile_spec
 from repro.scenarios.library import MUTATION_SCENARIO, SCENARIOS
 from repro.sim.artifact import load_artifact
+from repro.torture.harness import _run, run_without_cut
 
 
 def _verdicts(report):
@@ -27,6 +33,33 @@ def test_plan_is_deterministic_and_covers_axes():
     for combo in first:
         if SCENARIOS[combo.scenario].needs_faults:
             assert combo.faults
+
+
+def test_shuffled_axis_changes_the_layout_and_still_verifies():
+    """Same compiled script: a perturbed schedule places the same LBAs
+    on different physical pages, and both runs pass every oracle."""
+    spec = SCENARIOS["snapshot-under-heavy-io"]
+    script = compile_spec(spec, 7)
+    layouts = {}
+    for axis in ("default", "shuffled"):
+        config = combo_config(Combo(spec.name, axis, False, 0), spec)
+        _power, device, _model, _pending = _run(script, None, config)
+        layouts[axis] = sorted(device.map.items())
+        assert run_without_cut(script, config).failures == []
+    assert layouts["default"] != layouts["shuffled"]
+    assert ([lba for lba, _ppn in layouts["default"]]
+            == [lba for lba, _ppn in layouts["shuffled"]])
+
+
+def test_shuffled_sweep_is_clean():
+    """A few schedule seeds beyond the axis's own: every perturbed
+    order of the same script is a legal schedule and verifies."""
+    spec = SCENARIOS["snapshot-under-heavy-io"]
+    script = compile_spec(spec, 7)
+    shuffled = combo_config(Combo(spec.name, "shuffled", False, 0), spec)
+    for schedule_seed in (2, 3, 4):
+        config = replace(shuffled, schedule_seed=schedule_seed)
+        assert run_without_cut(script, config).failures == []
 
 
 def test_unknown_scenario_rejected():
@@ -91,6 +124,25 @@ def test_mutation_is_caught_shrunk_and_replayable(tmp_path):
 
     outcome = replay_scenario_repro(report.repro_paths[0])
     assert outcome.failed, "the shrunk repro must still reproduce"
+
+
+def test_shuffled_finding_is_shrunk_and_replays_its_schedule(tmp_path):
+    """A failure found under a perturbed schedule is shrunk, and its
+    repro carries the schedule seed so the replay reruns that order."""
+    specs = {MUTATION_SCENARIO.name: MUTATION_SCENARIO}
+    report = run_campaign("smoke", 7,
+                          scenarios=[MUTATION_SCENARIO.name],
+                          specs=specs, repro_dir=str(tmp_path))
+    shuffled = [path for path in report.repro_paths
+                if load_artifact(path, expect_kind="scenario-repro")
+                ["combo"]["axis"] == "shuffled"]
+    assert shuffled, "the shuffled cell must fail and write a repro"
+
+    payload = load_artifact(shuffled[0], expect_kind="scenario-repro")
+    assert payload["config"]["schedule_seed"] == AXES["shuffled"][
+        "schedule_seed"]
+    assert len(payload["script"]) < payload["original_ops"]
+    assert replay_scenario_repro(shuffled[0]).failed
 
 
 def test_cli_smoke_and_exit_codes(capsys, tmp_path):

@@ -40,8 +40,8 @@ def test_unknown_kind_rejected(tmp_path):
 
 def test_kind_mismatch_rejected(tmp_path):
     path = str(tmp_path / "a.json")
-    write_artifact(path, "races-findings", {"findings": []}, seed=0,
-                   replay="python -m repro.races")
+    write_artifact(path, "fault-campaign-repro", {"failures": {}}, seed=0,
+                   replay="python -m repro.faults")
     with pytest.raises(ArtifactError):
         load_artifact(path, expect_kind="torture-repro")
 
@@ -57,7 +57,7 @@ def test_pre_envelope_files_still_load(tmp_path):
 
 def test_write_is_atomic_no_tmp_left_behind(tmp_path):
     path = str(tmp_path / "a.json")
-    write_artifact(path, "races-findings", {"findings": []}, seed=0,
+    write_artifact(path, "fault-campaign-repro", {"failures": {}}, seed=0,
                    replay="r")
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 

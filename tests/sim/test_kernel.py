@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.sim import Kernel, SimError
@@ -271,3 +273,23 @@ def test_process_returning_none(kernel):
         yield 1
 
     assert kernel.run_process(proc()) is None
+
+
+def test_schedule_rng_actually_perturbs():
+    """Different seeds must produce different same-timestamp orders."""
+    def order_for(seed):
+        kernel = Kernel(schedule_rng=random.Random(seed))
+        out = []
+
+        def worker(tag):
+            out.append(tag)
+            yield 0
+            out.append(tag * 10)
+
+        for tag in (1, 2, 3, 4, 5):
+            kernel.spawn(worker(tag))
+        kernel.run()
+        return tuple(out)
+
+    orders = {order_for(seed) for seed in range(8)}
+    assert len(orders) > 1

@@ -126,35 +126,6 @@ def test_replicate_passing_single_case_is_ok(capsys):
 
 
 # ---------------------------------------------------------------------------
-# repro.races
-# ---------------------------------------------------------------------------
-def test_races_finding_and_artifact(tmp_path, capsys, monkeypatch):
-    import repro.races.__main__ as cli
-    from repro.races.explorer import Finding, SeedResult
-
-    def fake_explore(seed, ops=60, shrink=True):
-        return SeedResult(seed=seed, ops=ops, notes=1,
-                          finding=Finding(seed=seed, kind="race",
-                                          detail="injected", ops=[]))
-
-    monkeypatch.setattr(cli, "explore_seed", fake_explore)
-    artifact = str(tmp_path / "races.json")
-    assert cli.main(["--seed", "9", "--ops", "10",
-                     "--artifact", artifact]) == EXIT_FAILURES
-    payload = load_artifact(artifact, expect_kind="races-findings")
-    assert payload["findings"][0]["kind"] == "race"
-    assert payload["artifact"]["seed"] == 9
-    capsys.readouterr()
-
-
-def test_races_clean_seed_is_ok(capsys):
-    import repro.races.__main__ as cli
-
-    assert cli.main(["--seed", "0", "--ops", "12"]) == EXIT_OK
-    capsys.readouterr()
-
-
-# ---------------------------------------------------------------------------
 # repro.scenarios (the campaign CLI's codes are exercised in
 # tests/scenarios/test_campaign.py; this pins the failing-case code)
 # ---------------------------------------------------------------------------
