@@ -94,12 +94,16 @@ class FtlConfig:
     cpu: CpuCosts = field(default_factory=CpuCosts)
 
     def __post_init__(self) -> None:
+        if self.blocks_per_segment < 1:
+            raise ValueError("blocks_per_segment must be >= 1")
         if not 0.0 < self.op_ratio < 0.9:
             raise ValueError(f"op_ratio out of range: {self.op_ratio}")
         if self.parallel_heads < 0:
             raise ValueError("parallel_heads must be >= 0 (0 = auto)")
         if self.gc_low_watermark < 1:
             raise ValueError("gc_low_watermark must be >= 1")
+        if self.gc_reserve_segments < 0:
+            raise ValueError("gc_reserve_segments must be >= 0")
         if self.gc_policy not in ("greedy", "cost_benefit"):
             raise ValueError(f"unknown gc_policy {self.gc_policy!r}")
         if self.scrub_interval_ms <= 0:

@@ -20,22 +20,19 @@ replication story:
   the digest against a real activation readback;
 - :mod:`repro.replicate.transfer` — the driver wiring sender to
   receiver with cursor commits, corruption injection for tests, and
-  resume;
-- :mod:`repro.replicate.harness` — torture/fault composition: cut the
-  power mid-transfer at registered crash sites, transplant both
-  devices' media, reopen, resume, and verify per-LBA digests end to
-  end;
-- ``python -m repro.replicate`` — the case-matrix CLI with JSON repro
-  artifacts, following the torture/faults conventions.
+  resume.
+
+The failure matrix is the torture harness's ``send`` op
+(:mod:`repro.torture.harness`): the receiver shares the source's power
+model, a cut reopens both devices through real recovery and resumes
+the stream from its committed cursor, and every case ends with the
+pair check — fsck the receiver, then per-LBA digests of each snapshot
+on both devices.  The scenario campaign's ``replicate-*`` cells
+(:mod:`repro.scenarios`) drive it across every device axis and media
+faults.
 """
 
 from repro.replicate.cursor import CursorStore, ReplicationCursor
-from repro.replicate.harness import (
-    ReplicationOutcome,
-    ReplicationSpec,
-    enumerate_replication_sites,
-    run_replication_case,
-)
 from repro.replicate.receive import Receiver
 from repro.replicate.send import make_stream_id, send_proc
 from repro.replicate.transfer import replicate, replicate_proc
@@ -44,12 +41,8 @@ __all__ = [
     "CursorStore",
     "Receiver",
     "ReplicationCursor",
-    "ReplicationOutcome",
-    "ReplicationSpec",
-    "enumerate_replication_sites",
     "make_stream_id",
     "replicate",
     "replicate_proc",
-    "run_replication_case",
     "send_proc",
 ]

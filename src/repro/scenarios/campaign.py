@@ -14,9 +14,10 @@ after every cell, so an interrupted nightly picks up where it stopped
 — and a resumed run must produce the byte-identical verdict map,
 which ``tests/scenarios`` asserts.
 
-A failing cell is shrunk — delta debugging over the schedule, cut
-cells via :func:`repro.torture.reduce.shrink_failure`, clean cells via
-the no-cut reducer here — and written as a replayable
+A failing cell is shrunk — one delta-debugging walk
+(:func:`repro.torture.reduce.ddmin`) over the schedule, with cut cells
+via :func:`repro.torture.reduce.shrink_failure` and clean cells via
+the no-cut predicate here — and written as a replayable
 ``scenario-repro`` artifact.
 """
 
@@ -45,7 +46,7 @@ from repro.torture.harness import (
     run_without_cut,
 )
 from repro.torture.power import Target
-from repro.torture.reduce import shrink_failure
+from repro.torture.reduce import ddmin, shrink_failure
 from repro.torture.workload import Op
 
 # Device-configuration axes.  Keys are stable artifact identifiers;
@@ -68,8 +69,11 @@ SMOKE_AXES = ("default", "shuffled")
 
 # Scenarios that run an extra fault combo in the nightly profile, on
 # top of every needs_faults scenario (which runs *only* as a fault
-# combo — the scrubber does not exist on a perfect medium).
-FAULT_EXTRA = ("snapshot-under-heavy-io", "trim-heavy-snapshots")
+# combo — the scrubber does not exist on a perfect medium).  The
+# replication extra proves a send over correctable-heavy media ships
+# exactly the bytes the model oracle expects (via the pair check).
+FAULT_EXTRA = ("snapshot-under-heavy-io", "trim-heavy-snapshots",
+               "replicate-while-io")
 
 SMOKE_SCENARIOS = ("snapshot-under-heavy-io", "limits-auto-delete",
                    "replicate-while-io")
@@ -184,7 +188,7 @@ def shrink_clean_failure(script: List[Op], config: TortureConfig,
                          ) -> Tuple[List[Op], List[str], int]:
     """Minimize a script whose *clean* run fails verification.
 
-    Same ddmin walk as :func:`repro.torture.reduce.shrink_failure`,
+    Same :func:`repro.torture.reduce.ddmin` walk as ``shrink_failure``,
     but the predicate is the no-cut cell: candidates that still fail
     the live-device oracles are kept, invalid candidates are not.
     """
@@ -201,37 +205,11 @@ def shrink_clean_failure(script: List[Op], config: TortureConfig,
             return None
         return outcome.failures
 
-    best_failures = still_fails(script)
-    if best_failures is None:
+    shrunk = ddmin(script, still_fails, max_attempts)
+    if shrunk is None:
         raise ValueError("script does not fail its clean run; "
                          "nothing to shrink")
-    current = list(script)
-    attempts = 0
-    chunk = max(1, len(current) // 2)
-    while True:
-        removed_any = False
-        i = 0
-        while i < len(current) and attempts < max_attempts:
-            candidate = current[:i] + current[i + chunk:]
-            if not candidate:
-                i += chunk
-                continue
-            attempts += 1
-            failures = still_fails(candidate)
-            if failures is not None:
-                current = candidate
-                best_failures = failures
-                removed_any = True
-            else:
-                i += chunk
-        if attempts >= max_attempts:
-            break
-        if chunk == 1:
-            if not removed_any:
-                break
-        else:
-            chunk = max(1, chunk // 2)
-    return current, best_failures, attempts
+    return shrunk
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,15 @@ def _specs() -> Dict[str, ScenarioSpec]:
             phases=phases(
                 _IO,
                 {"do": "snap", "name": "base"},
+                # Churn plus a forced clean before each send, so the
+                # sent blocks have moved since their snapshot.
+                _IO_SMALL,
+                {"do": "gc"},
                 {"do": "send", "which": "base"},
                 dict(_IO, ops=[10, 16], trim_ratio=0.25),
                 {"do": "snap", "name": "delta"},
+                _IO_SMALL,
+                {"do": "gc"},
                 {"do": "send", "which": "delta", "incremental": True},
                 _IO_SMALL,
             ),

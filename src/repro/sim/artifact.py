@@ -1,6 +1,6 @@
 """The shared repro-artifact envelope every rig CLI writes.
 
-The torture, media-fault, replication and scenario rigs all
+The torture, media-fault and scenario rigs all
 emit JSON repro artifacts so CI can upload a failing case and a human
 (or the rig itself) can replay it.  Before this module each CLI
 hand-rolled a slightly different format; now every artifact carries
@@ -43,7 +43,6 @@ SCHEMA_VERSION = 1
 KINDS = (
     "torture-repro",
     "fault-campaign-repro",
-    "replicate-repro",
     "scenario-repro",
     "scenario-campaign-state",
 )

@@ -4,18 +4,27 @@ One torture case is ``run_with_cut(script, target)``:
 
 1. build a fresh simulated device and run ``script`` op by op through
    the synchronous façade, with a :class:`PowerModel` armed at
-   ``target = (site, occurrence)``;
-2. when the cut fires — in the foreground op or inside the background
-   cleaner — abandon the kernel wholesale (a frozen event loop *is*
-   instantaneous power loss) and keep only what hardware keeps: the
-   NAND array and the superblock;
-3. transplant the media under a fresh kernel/device and reopen through
-   the real recovery stack (``VslDevice.open`` →
-   ``ftl.checkpoint``/``ftl.recovery``/``core.recovery``);
-4. verify with two oracles: the ``ftl.fsck`` invariant audit (F1-F5,
-   S1-S6) and the model oracle's prefix/atomicity check, then prove
-   the recovered device is *usable* by running a cleaner pass and
-   auditing again.
+   ``target = (site, occurrence)``.  A ``send`` op replicates a
+   snapshot to a receiver device (the *sink*) on the same host: same
+   kernel, same power model, so the sender's cursor commits, the
+   receiver's applies and finalize, and every sink program are cut
+   points too;
+2. when the cut fires — in the foreground op, inside the background
+   cleaner, or on the sink — abandon the kernel wholesale (a frozen
+   event loop *is* instantaneous power loss) and keep only what
+   hardware keeps: the NAND arrays and superblocks, plus the committed
+   replication cursors (the sender's fsync'd watermark file);
+3. transplant the media under a fresh kernel and reopen through the
+   real recovery stack (``VslDevice.open`` →
+   ``ftl.checkpoint``/``ftl.recovery``/``core.recovery``); the sink
+   reopens on the same kernel, and a ``send`` the cut interrupted
+   resumes from its cursor;
+4. verify with the oracles: the ``ftl.fsck`` invariant audit (F1-F5,
+   S1-S6), the model oracle's prefix/atomicity check and, once a send
+   ran, the pair check (fsck the sink, then per-LBA digests of every
+   snapshot live on both devices, read through real activations);
+   then prove the recovered device is *usable* by running a cleaner
+   pass and auditing again.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ from repro.faults.model import FaultPlan, MediaFaultModel
 from repro.ftl.fsck import fsck
 from repro.nand.device import NandDevice
 from repro.nand.geometry import NandConfig, NandGeometry
+from repro.replicate.cursor import CursorStore
+from repro.replicate.send import make_stream_id
+from repro.replicate.transfer import replicate
 from repro.sim import Kernel
 from repro.sim.kernel import SimError
 from repro.torture.model import Model
@@ -145,6 +157,23 @@ def _build_device(config: TortureConfig,
         faults=faults)
 
 
+class _Replica:
+    """The receiving end of ``send`` ops: a sink device and the cursors.
+
+    The sink is created by the first send, on the source's kernel and
+    under the source's :class:`PowerModel`: one host, so one cut kills
+    sender, wire and receiver together.  The cursor store is the
+    sender's fsync'd watermark file — durable host state that outlives
+    a cut exactly like the NAND arrays do.
+    """
+
+    def __init__(self, config: TortureConfig) -> None:
+        # Host configuration the sink is created and reopened with.
+        self.sink_config = IoSnapConfig(parallel_heads=config.parallel_heads)
+        self.sink: Optional[IoSnapDevice] = None
+        self.store = CursorStore()
+
+
 def _join_burst(procs) -> "object":
     """Join every burst writer; re-raise the first power cut at the end.
 
@@ -163,10 +192,8 @@ def _join_burst(procs) -> "object":
 
 
 def _apply_op(device: IoSnapDevice, activations: Dict[str, object],
-              op: Op, extras: Optional[Dict[str, object]] = None) -> None:
+              op: Op, replica: _Replica) -> None:
     kind = op[0]
-    if extras is None:
-        extras = {}
     try:
         if kind == "write":
             device.write(op[1], payload_for(op[1], op[2]))
@@ -215,7 +242,7 @@ def _apply_op(device: IoSnapDevice, activations: Dict[str, object],
                 device.kernel.run_process(device.scrubber.scrub_pass(),
                                           name="forced-scrub")
         elif kind == "send":
-            _apply_send(device, extras, op)
+            _apply_send(device, replica, op)
         elif kind == "snap_delete":
             device.snapshot_delete(op[1])
         elif kind == "snap_activate":
@@ -242,47 +269,51 @@ def _apply_op(device: IoSnapDevice, activations: Dict[str, object],
         raise ScriptInvalid(f"op {op!r}: {exc}") from exc
 
 
-def _apply_send(device: IoSnapDevice, extras: Dict[str, object],
-                op: Op) -> None:
-    """``["send", target, base?]``: replicate a snapshot to a receiver.
+def _send(device: IoSnapDevice, replica: _Replica, op: Op) -> bool:
+    """Run (or resume) the stream of ``["send", target, base?]``.
 
-    The scratch sink device and cursor store live in ``extras`` for
-    the duration of one run, so chained incremental sends share the
-    receiver exactly like the replication rig's STREAMS chain.  They
-    are host state: a power cut abandons them with the kernel (the
-    source device is the system under test; the sink is reborn blank
-    on the next incarnation's first send).
+    Returns False, without sending, if the stream's committed cursor is
+    already finalized.  ``replicate`` itself resumes from a committed,
+    unfinalized cursor, so the same call starts a stream and finishes
+    one a power cut interrupted.
     """
-    from repro.replicate.cursor import CursorStore
-    from repro.replicate.send import make_stream_id
-    from repro.replicate.transfer import replicate
-
     target = op[1]
     base = op[2] if len(op) > 2 else None
-    device.tree.resolve(target)  # unknown snapshot -> ScriptInvalid
-    sink = extras.get("sink")
-    if sink is None:
-        sink = IoSnapDevice.create(
-            device.kernel, device.nand.config,
-            IoSnapConfig(parallel_heads=device.config.parallel_heads))
-        extras["sink"] = sink
-        extras["store"] = CursorStore()
-    store = extras["store"]
-    assert isinstance(sink, IoSnapDevice) and isinstance(store, CursorStore)
+    prior = replica.store.load(make_stream_id(base, target))
+    if prior is not None and prior.finalized:
+        return False
+    assert replica.sink is not None
+    replicate(device, replica.sink, base, target, replica.store,
+              cursor_every=4)
+    return True
+
+
+def _apply_send(device: IoSnapDevice, replica: _Replica, op: Op) -> None:
+    """``["send", target, base?]``: replicate a snapshot to the sink.
+
+    Chained incremental sends share the one sink and cursor store, so
+    a ``base`` must have reached the sink through an earlier send.
+    """
+    device.tree.resolve(op[1])  # unknown snapshot -> ScriptInvalid
+    if replica.sink is None:
+        replica.sink = IoSnapDevice.create(
+            device.kernel, device.nand.config, replica.sink_config)
+        replica.sink.nand.power = device.nand.power
     # Reduced scripts can drop the op that shipped the base snapshot
     # or duplicate a transfer; both are script problems, not verdicts.
-    if base is not None and base not in {s.name for s in sink.snapshots()}:
+    base = op[2] if len(op) > 2 else None
+    if base is not None and base not in {
+            s.name for s in replica.sink.snapshots()}:
         raise ScriptInvalid(f"send base {base!r} never reached the "
                             f"receiver: {op!r}")
-    prior = store.load(make_stream_id(base, target))
-    if prior is not None and prior.finalized:
+    if not _send(device, replica, op):
         raise ScriptInvalid(f"stream already replicated: {op!r}")
-    replicate(device, sink, base, target, store, cursor_every=4)
 
 
 def _run(script: List[Op], target: Optional[Target],
          config: TortureConfig,
          fault_plan: Optional[FaultPlan] = None,
+         replica: Optional[_Replica] = None,
          ) -> Tuple[PowerModel, IoSnapDevice, Model, Optional[int]]:
     """Run ``script`` with ``target`` armed.
 
@@ -292,7 +323,9 @@ def _run(script: List[Op], target: Optional[Target],
     semantically broken scripts.  ``fault_plan`` composes a media-fault
     schedule with the power cut: the same seeded plan replays the same
     program/erase/read faults on every run, so ``(plan, site,
-    occurrence)`` stays a deterministic coordinate.
+    occurrence)`` stays a deterministic coordinate.  ``replica``
+    receives the script's ``send`` ops; pass one to inspect the sink
+    afterwards.
     """
     device = _build_device(config, fault_plan)
     power = PowerModel(target)
@@ -301,10 +334,11 @@ def _run(script: List[Op], target: Optional[Target],
                   snapshot_limit=config.snapshot_limit,
                   snapshot_auto_delete=config.snapshot_auto_delete)
     activations: Dict[str, object] = {}
-    extras: Dict[str, object] = {}
+    if replica is None:
+        replica = _Replica(config)
     for index, op in enumerate(script):
         try:
-            _apply_op(device, activations, op, extras)
+            _apply_op(device, activations, op, replica)
         except (PowerLossError, SimError) as exc:
             if power.fired is None:
                 raise  # a real bug, not our injected cut
@@ -337,9 +371,9 @@ def site_kinds(targets: List[Target]) -> List[str]:
 # ---------------------------------------------------------------------------
 # Reopen + verify
 # ---------------------------------------------------------------------------
-def _reopen(old_nand: NandDevice,
-            config: Optional[TortureConfig] = None) -> IoSnapDevice:
-    """Transplant the surviving media under a fresh kernel and open it.
+def _reopen(old_nand: NandDevice, kernel: Optional[Kernel] = None,
+            device_config: Optional[IoSnapConfig] = None) -> IoSnapDevice:
+    """Transplant the surviving media under ``kernel`` and open it.
 
     What survives a power cut is exactly what hardware keeps: the NAND
     array contents (including torn pages and wear counts), the
@@ -347,16 +381,51 @@ def _reopen(old_nand: NandDevice,
     read-disturb counts, and grown-bad blocks live in the silicon, so
     the :class:`~repro.faults.model.MediaFaultModel` transplants along
     with the array.  Every in-flight process, event, and in-memory FTL
-    structure dies with the abandoned kernel.  ``config`` re-applies
-    host configuration (head layout, flash-resident-map mode, schedule
-    seed) that is not part of the media format.
+    structure dies with the abandoned kernel.  ``kernel`` is the fresh
+    host (a new one by default; the sink reopens on the source's), and
+    ``device_config`` re-applies host configuration (head layout,
+    flash-resident-map mode) that is not part of the media format.
     """
-    kernel = config.kernel() if config is not None else Kernel()
+    kernel = kernel if kernel is not None else Kernel()
     nand = NandDevice(kernel, old_nand.config, faults=old_nand.faults)
     nand.array = old_nand.array
     nand.superblock = dict(old_nand.superblock)
-    device_config = config.device_config() if config is not None else None
     return IoSnapDevice.open(kernel, nand, device_config)
+
+
+def _snapshot_digests(device: IoSnapDevice, name: str) -> Dict[int, int]:
+    activated = device.snapshot_activate(name)
+    try:
+        return activated.content_digests()
+    finally:
+        device.snapshot_deactivate(activated)
+
+
+def _check_pair(source: IoSnapDevice, sink: IoSnapDevice) -> List[str]:
+    """fsck the sink, then compare every snapshot live on both devices.
+
+    Per-LBA digests are read through real activations on each side, so
+    the comparison attests to what both devices actually serve.
+    """
+    failures = [f"fsck(sink): {v}" for v in fsck(sink)]
+    on_sink = {s.name for s in sink.snapshots()}
+    for name in sorted(s.name for s in source.snapshots()
+                       if s.name in on_sink):
+        try:
+            src = _snapshot_digests(source, name)
+            snk = _snapshot_digests(sink, name)
+        except (ReproError, SimError) as exc:
+            failures.append(f"pair({name}): activation failed: {exc!r}")
+            continue
+        if src != snk:
+            missing = sorted(set(src) - set(snk))[:8]
+            extra = sorted(set(snk) - set(src))[:8]
+            differ = sorted(lba for lba in set(src) & set(snk)
+                            if src[lba] != snk[lba])[:8]
+            failures.append(
+                f"pair({name}): source and sink diverge "
+                f"(missing={missing} extra={extra} differ={differ})")
+    return failures
 
 
 def run_with_cut(script: List[Op], target: Target,
@@ -366,9 +435,10 @@ def run_with_cut(script: List[Op], target: Target,
     """One torture case; see the module docstring for the phases."""
     config = config or TortureConfig()
     outcome = CutOutcome(target=target)
+    replica = _Replica(config)
     try:
-        power, run_device, model, pending_index = _run(script, target,
-                                                       config, fault_plan)
+        power, run_device, model, pending_index = _run(
+            script, target, config, fault_plan, replica)
     except ScriptInvalid:
         outcome.invalid = True
         return outcome
@@ -386,10 +456,19 @@ def run_with_cut(script: List[Op], target: Target,
     pending_op = script[pending_index] if pending_index is not None else None
 
     try:
-        device = _reopen(nand, config)
+        device = _reopen(nand, config.kernel(), config.device_config())
+        if replica.sink is not None:
+            replica.sink = _reopen(replica.sink.nand, device.kernel,
+                                   replica.sink_config)
     except (ReproError, SimError) as exc:
         outcome.failures.append(f"recovery: open failed: {exc!r}")
         return outcome
+    if pending_op is not None and pending_op[0] == "send":
+        try:
+            _send(device, replica, pending_op)
+        except (ReproError, SimError) as exc:
+            outcome.failures.append(f"send: resume after cut failed: "
+                                    f"{exc!r}")
 
     outcome.failures.extend(f"fsck: {v}" for v in fsck(device))
     try:
@@ -398,6 +477,8 @@ def run_with_cut(script: List[Op], target: Target,
     except (ReproError, SimError) as exc:
         outcome.failures.append(f"model: verification crashed: {exc!r}")
         return outcome
+    if replica.sink is not None:
+        outcome.failures.extend(_check_pair(device, replica.sink))
 
     # The recovered device must also be *operable*: reclaim space and
     # re-audit (catches leaked validity pinning segments forever).
@@ -421,17 +502,19 @@ def run_without_cut(script: List[Op],
     """One *clean* case: run the whole script, verify the live device.
 
     The scenario campaign's baseline cell: no power cut, but the same
-    two oracles — fsck's invariant audit and the model's full-state
-    comparison with deep per-snapshot activation readback — applied to
-    the device the script actually built.  Scripts whose final op is
-    ``shutdown`` are additionally reopened through the checkpoint
-    path, so a clean cell still exercises restore.
+    oracles — fsck's invariant audit, the model's full-state comparison
+    with deep per-snapshot activation readback, and the pair check once
+    a send ran — applied to the devices the script actually built.
+    Scripts whose final op is ``shutdown`` are additionally reopened
+    through the checkpoint path, so a clean cell still exercises
+    restore.
     """
     config = config or TortureConfig()
     outcome = CutOutcome(target=None, fired=True)
+    replica = _Replica(config)
     try:
         _power, device, model, _pending = _run(script, None, config,
-                                               fault_plan)
+                                               fault_plan, replica)
     except ScriptInvalid:
         outcome.invalid = True
         return outcome
@@ -440,7 +523,8 @@ def run_without_cut(script: List[Op],
         return outcome
     if script and script[-1] == ["shutdown"]:
         try:
-            device = _reopen(device.nand, config)
+            device = _reopen(device.nand, config.kernel(),
+                             config.device_config())
         except (ReproError, SimError) as exc:
             outcome.failures.append(f"clean reopen failed: {exc!r}")
             return outcome
@@ -450,4 +534,6 @@ def run_without_cut(script: List[Op],
                                                       deep=deep))
     except (ReproError, SimError) as exc:
         outcome.failures.append(f"model: verification crashed: {exc!r}")
+    if replica.sink is not None:
+        outcome.failures.extend(_check_pair(device, replica.sink))
     return outcome

@@ -18,7 +18,7 @@ repro.torture --replay FILE`` re-executes byte-identically.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.errors import PowerLossError
 from repro.faults.model import FaultPlan
@@ -36,6 +36,8 @@ from repro.torture.workload import Op
 #   2 — adds an optional "fault_plan" (seeded media-fault schedule,
 #       see repro.faults.model.FaultPlan); version-1 files still load.
 REPRO_VERSION = 2
+
+R = TypeVar("R")
 
 
 @dataclass
@@ -86,6 +88,43 @@ def _first_failure(script: List[Op], site: str,
     return None
 
 
+def ddmin(ops: List[Op], still_fails: Callable[[List[Op]], Optional[R]],
+          max_attempts: int) -> Optional[Tuple[List[Op], R, int]]:
+    """Delta debugging: drop ever-smaller chunks while ``still_fails``.
+
+    ``still_fails(candidate)`` returns None when the candidate does not
+    reproduce, else a description of the failure.  Returns ``(ops,
+    failure, attempts)`` for the smallest failing script found within
+    ``max_attempts`` candidates, or None when ``ops`` itself passes.
+    """
+    failure = still_fails(ops)
+    if failure is None:
+        return None
+    current = list(ops)
+    attempts = 0
+    chunk = max(1, len(current) // 2)
+    while True:
+        removed_any = False
+        i = 0
+        while i < len(current) and attempts < max_attempts:
+            candidate = current[:i] + current[i + chunk:]
+            if not candidate:
+                i += chunk
+                continue
+            attempts += 1
+            result = still_fails(candidate)
+            if result is not None:
+                current, failure = candidate, result
+                removed_any = True
+                # stay at the same index: the next chunk slid into place
+            else:
+                i += chunk
+        if attempts >= max_attempts or (chunk == 1 and not removed_any):
+            break
+        chunk = max(1, chunk // 2)
+    return current, failure, attempts
+
+
 def shrink_failure(script: List[Op], site: str,
                    config: Optional[TortureConfig] = None,
                    deep: bool = True,
@@ -97,41 +136,15 @@ def shrink_failure(script: List[Op], site: str,
     occurrence index is *not* required — any occurrence that fails
     counts, which is what lets shrinking renumber sites freely.
     """
-    baseline = _first_failure(script, site, config, deep, fault_plan)
-    if baseline is None:
+    shrunk = ddmin(
+        script,
+        lambda ops: _first_failure(ops, site, config, deep, fault_plan),
+        max_attempts)
+    if shrunk is None:
         raise ValueError(
             f"script does not fail at any occurrence of {site!r}; "
             "nothing to shrink")
-    best_target, best_failures = baseline
-    current = list(script)
-    attempts = 0
-
-    chunk = max(1, len(current) // 2)
-    while True:
-        removed_any = False
-        i = 0
-        while i < len(current) and attempts < max_attempts:
-            candidate = current[:i] + current[i + chunk:]
-            if not candidate:
-                i += chunk
-                continue
-            attempts += 1
-            result = _first_failure(candidate, site, config, deep, fault_plan)
-            if result is not None:
-                current = candidate
-                best_target, best_failures = result
-                removed_any = True
-                # stay at the same index: the next chunk slid into place
-            else:
-                i += chunk
-        if attempts >= max_attempts:
-            break
-        if chunk == 1:
-            if not removed_any:
-                break
-        else:
-            chunk = max(1, chunk // 2)
-
+    current, (best_target, best_failures), attempts = shrunk
     return ShrunkRepro(script=current, site=best_target[0],
                        occurrence=best_target[1], failures=best_failures,
                        attempts=attempts, original_ops=len(script),

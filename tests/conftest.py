@@ -1,5 +1,7 @@
 """Shared fixtures: small simulated devices that build in milliseconds."""
 
+import random
+
 import pytest
 
 from repro.core.iosnap import IoSnapConfig, IoSnapDevice
@@ -55,3 +57,22 @@ def make_iosnap(kernel, geometry=None, **config_overrides) -> IoSnapDevice:
     return IoSnapDevice.create(
         kernel, NandConfig(geometry=geometry or small_geometry()),
         IoSnapConfig(**config_overrides))
+
+
+def replication_script(seed: int = 2014, span: int = 24) -> list:
+    """The fixed torture script of the replication tests.
+
+    A seeded history — 40 writes, snapshot ``base``, 14 writes and 3
+    trims, snapshot ``target``, 30 writes, two forced cleaner passes so
+    sent blocks have moved — then the chained transfer: a full send of
+    ``base`` and an incremental send of ``target`` on top of it.
+    """
+    rng = random.Random(seed)
+    script = [["write", rng.randrange(span), i] for i in range(40)]
+    script.append(["snap_create", "base"])
+    script += [["write", rng.randrange(span), 1000 + i] for i in range(14)]
+    script += [["trim", rng.randrange(span)] for _ in range(3)]
+    script.append(["snap_create", "target"])
+    script += [["write", rng.randrange(span), 2000 + i] for i in range(30)]
+    script += [["gc"], ["gc"], ["send", "base"], ["send", "target", "base"]]
+    return script

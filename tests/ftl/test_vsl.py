@@ -22,6 +22,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             FtlConfig(gc_low_watermark=0)
 
+    def test_bad_blocks_per_segment(self):
+        with pytest.raises(ValueError, match="blocks_per_segment"):
+            FtlConfig(blocks_per_segment=0)
+
+    def test_bad_gc_reserve(self):
+        with pytest.raises(ValueError, match="gc_reserve_segments"):
+            FtlConfig(gc_reserve_segments=-1)
+
     def test_exported_space_below_physical(self, vsl):
         assert vsl.num_lbas < vsl.nand.geometry.total_pages
 

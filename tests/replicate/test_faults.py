@@ -7,34 +7,49 @@ from repro.faults.harness import correctable_heavy_config
 from repro.faults.model import FaultPlan
 from repro.nand.device import BitErrorModel
 from repro.replicate import CursorStore, replicate
-from repro.replicate.harness import (
-    ReplicationSpec,
-    check_correctable_send_equivalence,
-    run_replication_case,
-)
 from repro.torture import sites
-from tests.conftest import make_iosnap
+from repro.torture.harness import (
+    TortureConfig,
+    _Replica,
+    _run,
+    run_with_cut,
+    run_without_cut,
+)
+from tests.conftest import make_iosnap, replication_script
 
-SPEC = ReplicationSpec()
+SCRIPT = replication_script()
 PLAN = FaultPlan(config=correctable_heavy_config(2014))
 
 
 class TestCorrectableFaults:
     def test_faulty_source_replicates_clean(self):
-        outcome = run_replication_case(SPEC, fault_plan=PLAN)
-        assert not outcome.fired
+        outcome = run_without_cut(SCRIPT, fault_plan=PLAN)
+        assert not outcome.invalid
         assert not outcome.failures, outcome.failures
 
     def test_correctable_reads_do_not_change_stream_digest(self):
         # ECC-correctable media errors cost retry time, never bytes:
         # the committed cursors' digests must match a fault-free twin's.
-        assert check_correctable_send_equivalence(SPEC, PLAN) == []
+        digests = []
+        for plan in (None, PLAN):
+            config = TortureConfig()
+            replica = _Replica(config)
+            _power, source, _model, _pending = _run(SCRIPT, None, config,
+                                                    plan, replica)
+            streams = [replica.store.load(sid)
+                       for sid in replica.store.streams()]
+            digests.append({c.stream_id: (c.extent_digest, c.remove_digest)
+                            for c in streams if c is not None})
+        assert source.nand.media["read_retries"] > 0, (
+            "the faulty run never exercised the retry ladder")
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
     def test_fault_and_cut_compose(self):
-        outcome = run_replication_case(
-            SPEC, target=(sites.RECV_APPLY + ":pre", 4), fault_plan=PLAN)
+        outcome = run_with_cut(
+            SCRIPT, (sites.RECV_APPLY + ":pre", 4), fault_plan=PLAN)
         assert outcome.fired
-        assert outcome.resumed
+        assert SCRIPT[outcome.pending_index][0] == "send"
         assert not outcome.failures, outcome.failures
 
 

@@ -1,35 +1,38 @@
-"""Cut-and-resume: power loss mid-transfer at every replication site."""
+"""Cut-and-resume: power loss mid-transfer, driven by the torture harness.
+
+The fixed replication script's ``send`` ops run against a receiver on
+the source's power model; a cut reopens both devices and resumes the
+interrupted stream from its committed cursor.  The exhaustive sweep
+over every replication-site occurrence lives in
+``tests/torture/test_replication_cuts.py``.
+"""
 
 import pytest
 
-from repro.replicate.harness import (
-    ReplicationSpec,
-    enumerate_replication_sites,
-    replication_site_targets,
-    run_replication_case,
-)
+from repro.replicate import transfer
 from repro.torture import sites
+from repro.torture.harness import enumerate_sites, run_with_cut
+from tests.conftest import replication_script
 
-SPEC = ReplicationSpec()
+SCRIPT = replication_script()
+REPLICATION_SITES = {sites.SEND_CURSOR_COMMIT, sites.RECV_APPLY,
+                     sites.RECV_FINALIZE}
 
 
 def _assert_recovered(outcome):
     assert outcome.fired, "the armed cut never fired"
-    assert outcome.resumed
+    assert SCRIPT[outcome.pending_index][0] == "send", (
+        "the cut did not interrupt a send")
     assert not outcome.failures, outcome.failures
 
 
 class TestSiteEnumeration:
     def test_transfer_visits_every_replication_site(self):
-        kinds = {t[0].split(":")[0]
-                 for t in replication_site_targets(
-                     enumerate_replication_sites(SPEC))}
-        assert kinds == {sites.SEND_CURSOR_COMMIT, sites.RECV_APPLY,
-                         sites.RECV_FINALIZE}
+        kinds = {site.split(":")[0] for site, _k in enumerate_sites(SCRIPT)}
+        assert REPLICATION_SITES <= kinds
 
     def test_enumeration_is_deterministic(self):
-        assert (enumerate_replication_sites(SPEC)
-                == enumerate_replication_sites(SPEC))
+        assert enumerate_sites(SCRIPT) == enumerate_sites(SCRIPT)
 
 
 class TestTargetedCuts:
@@ -39,47 +42,41 @@ class TestTargetedCuts:
         sites.RECV_FINALIZE + ":pre",
     ])
     def test_cut_at_replication_site_resumes_clean(self, site):
-        _assert_recovered(run_replication_case(SPEC, target=(site, 1)))
+        _assert_recovered(run_with_cut(SCRIPT, (site, 1)))
 
     def test_cut_at_receiver_write_resumes_clean(self):
         # The receiver's applies carry the device's own phased sites;
         # a cut inside a durable write must also leave a resumable pair.
+        # Occurrences count the source's writes first.
+        before_sends = sum(1 for site, _k in enumerate_sites(SCRIPT[:-2])
+                           if site == "write.data:mid")
         _assert_recovered(
-            run_replication_case(SPEC, target=("write.data:mid", 3)))
+            run_with_cut(SCRIPT, ("write.data:mid", before_sends + 3)))
 
     def test_cut_late_in_transfer_resumes_clean(self):
-        targets = replication_site_targets(
-            enumerate_replication_sites(SPEC))
-        last_apply = max(occ for site, occ in targets
+        last_apply = max(occ for site, occ in enumerate_sites(SCRIPT)
                          if site == sites.RECV_APPLY + ":pre")
-        _assert_recovered(run_replication_case(
-            SPEC, target=(sites.RECV_APPLY + ":pre", last_apply)))
+        _assert_recovered(run_with_cut(
+            SCRIPT, (sites.RECV_APPLY + ":pre", last_apply)))
 
-    def test_resume_skips_acknowledged_work(self):
-        outcome = run_replication_case(
-            SPEC, target=(sites.SEND_CURSOR_COMMIT + ":pre", 3))
-        _assert_recovered(outcome)
-        resumed = [r for r in outcome.reports if r["resumed"]]
+    def test_resume_skips_acknowledged_work(self, monkeypatch):
+        reports = []
+        real = transfer.send_proc
+
+        def spy(*args, **kwargs):
+            report = yield from real(*args, **kwargs)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(transfer, "send_proc", spy)
+        _assert_recovered(run_with_cut(
+            SCRIPT, (sites.SEND_CURSOR_COMMIT + ":pre", 3)))
+        resumed = [r for r in reports if r["resumed"]]
         assert resumed, "no stream actually resumed from a cursor"
         report = resumed[0]
         assert report["extents_sent"] < report["extent_total"]
 
     def test_unreached_target_completes_clean(self):
-        outcome = run_replication_case(
-            SPEC, target=(sites.RECV_FINALIZE + ":pre", 999))
+        outcome = run_with_cut(SCRIPT, (sites.RECV_FINALIZE + ":pre", 999))
         assert not outcome.fired
         assert not outcome.failures, outcome.failures
-
-
-@pytest.mark.torture
-class TestExhaustiveSweep:
-    def test_every_replication_site_occurrence(self):
-        failures = []
-        for target in replication_site_targets(
-                enumerate_replication_sites(SPEC)):
-            outcome = run_replication_case(SPEC, target=target)
-            if not outcome.fired:
-                failures.append(f"{target}: never fired")
-            elif outcome.failures:
-                failures.append(f"{target}: {outcome.failures}")
-        assert not failures, failures

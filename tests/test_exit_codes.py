@@ -97,35 +97,6 @@ def test_faults_clean_entry_is_ok(capsys):
 
 
 # ---------------------------------------------------------------------------
-# repro.replicate
-# ---------------------------------------------------------------------------
-def test_replicate_failing_case_and_artifact(tmp_path, capsys, monkeypatch):
-    import repro.replicate.__main__ as cli
-    from repro.replicate.harness import ReplicationOutcome
-
-    def fake_case(spec, target=None, **_kwargs):
-        return ReplicationOutcome(target=target, fired=target is not None,
-                                  failures=["injected failure"])
-
-    monkeypatch.setattr(cli, "run_replication_case", fake_case)
-    artifact = str(tmp_path / "replicate.json")
-    assert cli.main(["--site", "recv.apply:pre", "--seed", "5",
-                     "--artifact", artifact]) == EXIT_FAILURES
-    payload = load_artifact(artifact, expect_kind="replicate-repro")
-    assert payload["cases"][0]["failures"] == ["injected failure"]
-    assert payload["artifact"]["seed"] == 5
-    capsys.readouterr()
-
-
-def test_replicate_passing_single_case_is_ok(capsys):
-    import repro.replicate.__main__ as cli
-
-    assert cli.main(["--site", "recv.apply:pre",
-                     "--occurrence", "1"]) == EXIT_OK
-    capsys.readouterr()
-
-
-# ---------------------------------------------------------------------------
 # repro.scenarios (the campaign CLI's codes are exercised in
 # tests/scenarios/test_campaign.py; this pins the failing-case code)
 # ---------------------------------------------------------------------------
