@@ -272,7 +272,8 @@ def activate_proc(ftl: "IoSnapDevice", snap: "Snapshot",
                 winners[header.lba] = (entry[0], new_ppn)
         writable = ftl.config.writable_activations
         if writable:
-            ftl._epoch_bitmaps[epoch] = ftl._epoch_bitmaps[snap.epoch].fork()
+            ftl._set_epoch_bitmaps(
+                {epoch: ftl._epoch_bitmaps[snap.epoch].fork()})
         activated = ActivatedSnapshot(
             ftl, snap, epoch, fmap, writable,
             scan_ns=scan_ns,

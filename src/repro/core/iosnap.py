@@ -184,8 +184,8 @@ class IoSnapDevice(VslDevice):
             # The captured epoch's bitmap freezes; the active device
             # continues on a CoW child (paper Figure 5).
             captured_bitmap = self._epoch_bitmaps[snap.epoch]
-            self._epoch_bitmaps[self.tree.active_epoch] = \
-                captured_bitmap.fork()
+            self._set_epoch_bitmaps(
+                {self.tree.active_epoch: captured_bitmap.fork()})
         finally:
             self.quiesce_end()
         self.snap_metrics.creates += 1
@@ -246,7 +246,7 @@ class IoSnapDevice(VslDevice):
         # Drop the epoch's bitmap from the live set: the cleaner's
         # merged view no longer includes it, which implicitly
         # invalidates blocks only this snapshot kept alive.
-        self._epoch_bitmaps.pop(snap.epoch, None)
+        self._set_epoch_bitmaps({snap.epoch: None})
         # Residues for this snapshot are dead; residues whose path
         # crosses the reclaimed epoch are conservatively dropped too
         # (their winners may become cleaner fodder).
@@ -274,7 +274,7 @@ class IoSnapDevice(VslDevice):
                                   epoch=activated.epoch)
         yield from self._append_note(note, PageKind.NOTE_SNAP_DEACTIVATE)
         self._activations.remove(activated)
-        self._epoch_bitmaps.pop(activated.epoch, None)
+        self._set_epoch_bitmaps({activated.epoch: None})
         # Leave a warm-activation residue behind: the winners/trims
         # digest (kept current by cleaner fixups while activated) plus
         # the log coordinates a delta rescan resumes from.
@@ -295,7 +295,7 @@ class IoSnapDevice(VslDevice):
                               PageKind.NOTE_SNAP_DEACTIVATE)
         ppn, done = yield from self.log.append(header, payload,
                                                privileged=privileged)
-        self._note_registry[ppn] = note
+        self._register_note(ppn, note)
         yield done  # notes persist the operation; wait for durability
         return ppn
 
@@ -306,9 +306,39 @@ class IoSnapDevice(VslDevice):
     def active_bitmap(self) -> CowValidityBitmap:
         return self._epoch_bitmaps[self.tree.active_epoch]
 
-    def live_epoch_bitmaps(self) -> List[Tuple[int, CowValidityBitmap]]:
-        """(epoch, bitmap) for every epoch the cleaner must honor."""
-        return sorted(self._epoch_bitmaps.items())
+    def live_epoch_bitmaps(self) -> Tuple[Tuple[int, CowValidityBitmap], ...]:
+        """(epoch, bitmap) for every epoch the cleaner must honor, by
+        epoch.  A shared read-only tuple, re-sorted only after the live
+        epoch set changed (see :meth:`_set_epoch_bitmaps`)."""
+        if self._live_epochs_at != self._epoch_set_version:
+            self._live_epochs = tuple(sorted(self._epoch_bitmaps.items()))
+            self._live_epochs_at = self._epoch_set_version
+        return self._live_epochs
+
+    def _set_epoch_bitmaps(
+            self, changes: Dict[int, Optional[CowValidityBitmap]],
+            replace: bool = False) -> None:
+        """The one writer of the live epoch set.
+
+        ``changes`` maps epoch -> bitmap, None dropping the epoch;
+        ``replace`` starts from an empty set (construction, recovery,
+        checkpoint load).  An actual change bumps
+        ``_epoch_set_version``, which retires the sorted
+        :meth:`live_epoch_bitmaps` tuple and the merged valid counts,
+        and invalidates the cleaner's occupancy index.
+        """
+        bitmaps = {} if replace else self._epoch_bitmaps
+        changed = replace
+        for epoch, bitmap in changes.items():
+            if bitmap is None:
+                changed |= bitmaps.pop(epoch, None) is not None
+            elif bitmaps.get(epoch) is not bitmap:
+                bitmaps[epoch] = bitmap
+                changed = True
+        self._epoch_bitmaps = bitmaps
+        if changed:
+            self._epoch_set_version += 1
+            self.cleaner.invalidate_occupancy()
 
     def _new_bitmap(self, parent: Optional[CowValidityBitmap] = None,
                     ) -> CowValidityBitmap:
@@ -324,21 +354,21 @@ class IoSnapDevice(VslDevice):
 
     def _note_bitmap_mutation(self, bit: int) -> None:
         """Any epoch's validity changed at ``bit``: the merged valid
-        count cached for that segment is stale."""
-        self._seg_merged_valid.pop(bit // self.log.segment_pages, None)
+        count cached for that segment and its occupancy are stale."""
+        index = bit // self.log.segment_pages
+        self._seg_merged_valid.pop(index, None)
+        self.cleaner.occupancy.pop(index, None)
 
     def _merged_valid_cache(self) -> Dict[int, int]:
         """Per-segment merged valid counts, keyed to the live epoch set.
 
         Epoch membership changes (snapshot create/delete/deactivate,
-        recovery, checkpoint restore) swap bitmap objects in and out of
-        ``_epoch_bitmaps``; bit-level changes inside a live epoch are
-        caught by the ``on_mutate`` callback instead.
+        recovery, checkpoint restore) move ``_epoch_set_version``;
+        bit-level changes inside a live epoch are caught by the
+        ``on_mutate`` callback instead.
         """
-        key = tuple((epoch, id(bitmap))
-                    for epoch, bitmap in sorted(self._epoch_bitmaps.items()))
-        if key != self._seg_merged_key:
-            self._seg_merged_key = key
+        if self._seg_merged_at != self._epoch_set_version:
+            self._seg_merged_at = self._epoch_set_version
             self._seg_merged_valid.clear()
         return self._seg_merged_valid
 
@@ -369,6 +399,12 @@ class IoSnapDevice(VslDevice):
         }
         return summary
 
+    def _digest_extra(self) -> Dict[str, Any]:
+        return {"snapshots": [
+            (snap.snap_id, snap.name, snap.epoch, snap.created_seq,
+             snap.deleted)
+            for snap in self.snapshots(include_deleted=True)]}
+
     # ------------------------------------------------------------------
     # FTL hook overrides
     # ------------------------------------------------------------------
@@ -397,9 +433,13 @@ class IoSnapDevice(VslDevice):
         # filled by _estimate_valid_count and invalidated by bitmap
         # mutations (see _note_bitmap_mutation / _merged_valid_cache).
         self._seg_merged_valid: Dict[int, int] = {}
-        self._seg_merged_key: Tuple = ()
+        self._seg_merged_at = -1
+        # The live epoch set; changed only through _set_epoch_bitmaps.
+        self._epoch_set_version = 0
+        self._live_epochs: Tuple[Tuple[int, CowValidityBitmap], ...] = ()
+        self._live_epochs_at = -1
         self._epoch_bitmaps: Dict[int, CowValidityBitmap] = {}
-        self._epoch_bitmaps[0] = self._new_bitmap()
+        self._set_epoch_bitmaps({0: self._new_bitmap()}, replace=True)
 
     def _current_epoch(self) -> int:
         return self.tree.active_epoch
@@ -631,7 +671,7 @@ class IoSnapDevice(VslDevice):
             index = SegmentEpochIndex.rebuild_from_media(self.nand.array,
                                                          self.log)
         self._epoch_index = index
-        self._epoch_bitmaps = {}
+        bitmaps = {}
         for epoch, pages in extra["epoch_bitmaps"].items():
             bitmap = CowValidityBitmap.from_pages(
                 self.nand.geometry.total_pages,
@@ -639,6 +679,7 @@ class IoSnapDevice(VslDevice):
                 on_mutate=self._note_bitmap_mutation)
             if epoch != self.tree.active_epoch:
                 bitmap.freeze()
-            self._epoch_bitmaps[epoch] = bitmap
+            bitmaps[epoch] = bitmap
+        self._set_epoch_bitmaps(bitmaps, replace=True)
         # Checkpoint restore flattens CoW chains: correctness is
         # preserved, page sharing is rebuilt from the next snapshot on.

@@ -110,7 +110,7 @@ def rebuild_iosnap_state(ftl: "IoSnapDevice",
         last_live_state = dict(state)
         changed = set()
 
-    ftl._epoch_bitmaps = bitmaps
+    ftl._set_epoch_bitmaps(bitmaps, replace=True)
     items = sorted((lba, ppn) for lba, (_seq, ppn) in state.items())
     if ftl.map_is_cached:
         # Replay through the bounded cache (flash-resident mode): the

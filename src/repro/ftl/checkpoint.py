@@ -212,6 +212,7 @@ def restore_checkpoint(ftl: "VslDevice") -> Generator:
                                       order=ftl.config.map_order)
         yield len(state["map_items"]) * ftl.config.cpu.map_bulk_insert_ns
     ftl._note_registry = state["notes"]
+    ftl.cleaner.invalidate_occupancy()
     if not fallback:
         # Adopt the log's segment bookkeeping *before* the extra-state
         # hook: the ioSnap layer cross-validates its durable epoch
@@ -243,4 +244,5 @@ def restore_checkpoint(ftl: "VslDevice") -> Generator:
     from repro.ftl.recovery import recover
 
     ftl._note_registry = {}
+    ftl.cleaner.invalidate_occupancy()
     yield from recover(ftl)

@@ -20,8 +20,9 @@ estimate is exactly the paper's Figure 10 story).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Set
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
+from repro import sanitize
 from repro.errors import (
     EraseFailError,
     FtlError,
@@ -56,6 +57,14 @@ class SegmentCleaner:
         # Segments currently being cleaned: selection skips these so
         # two stripe workers never claim the same candidate.
         self._cleaning: Set[int] = set()
+        # Occupancy index: segment index -> merged valid + live notes +
+        # live MAP pages.  A missing entry means dirty.  The FTL's
+        # validity, note-registry and map owners pop a segment's entry
+        # whenever its count may have moved, so a selection recounts
+        # only those segments.  Live notes are regrouped from the
+        # registry only after it changed.
+        self.occupancy: Dict[int, int] = {}
+        self._notes_by_segment: Optional[Dict[int, int]] = None
         self.segments_cleaned = 0
         self.segments_retired = 0
         self.pages_moved = 0
@@ -139,7 +148,18 @@ class SegmentCleaner:
                 self.ftl.log.fail_waiters(exc)
                 yield self._park(stripe)
 
-    # -- selection ------------------------------------------------------------
+    # -- occupancy index ------------------------------------------------------
+    def note_registry_changed(self, ppn: int) -> None:
+        """A note at ``ppn`` entered or left the FTL's note registry."""
+        self._notes_by_segment = None
+        self.occupancy.pop(ppn // self.ftl.log.segment_pages, None)
+
+    def invalidate_occupancy(self) -> None:
+        """Forget every segment's occupancy (epoch-set change, recovery,
+        checkpoint load, bulk recount)."""
+        self.occupancy.clear()
+        self._notes_by_segment = None
+
     def _live_notes_by_segment(self) -> Dict[int, int]:
         """Live-note counts per segment index, in one registry pass.
 
@@ -158,46 +178,72 @@ class SegmentCleaner:
                 counts[index] = counts.get(index, 0) + 1
         return counts
 
-    def _occupied_count(self, seg: Segment) -> int:
-        valid = self.ftl._estimate_valid_count(seg)
-        return (valid + self._live_notes_by_segment().get(seg.index, 0)
+    def _count_occupied(self, seg: Segment, notes_by_seg: Dict[int, int],
+                        ) -> int:
+        # Translation-aware: GTD-referenced MAP pages occupy space the
+        # erase cannot reclaim for free (they must be copied forward),
+        # so they count against the candidate exactly like live data
+        # and live notes do.
+        return (self.ftl._estimate_valid_count(seg)
+                + notes_by_seg.get(seg.index, 0)
                 + self.ftl._map_pages_in_segment(seg))
 
+    # -- selection ------------------------------------------------------------
     def select_candidate(self,
                          stripe: Optional[int] = None) -> Optional[Segment]:
         """Pick the next segment to clean per the configured policy.
 
-        "greedy" takes the most-reclaimable closed segment;
-        "cost_benefit" scores (1 - u) * age / (1 + u), preferring old,
-        cold segments (Rosenblum & Ousterhout).  With ``stripe`` given,
-        only candidates homed on that stripe are considered.  Segments
-        a sibling worker is already cleaning are skipped.  Returns None
-        when no eligible closed segment would free anything.
+        "greedy" takes the most-reclaimable closed segment, the lowest
+        index among equals; "cost_benefit" scores (1 - u) * age /
+        (1 + u), preferring old, cold segments (Rosenblum & Ousterhout).
+        With ``stripe`` given, only candidates homed on that stripe are
+        considered.  Segments a sibling worker is already cleaning are
+        skipped.  Returns None when no eligible closed segment would
+        free anything.
+
+        Occupancy comes from the index, so only candidates marked dirty
+        since they were last counted are recounted.  Under the
+        sanitizer every selection is repeated with fresh counts and
+        must agree.
         """
-        policy = self.ftl.config.gc_policy
-        newest_seq = max((seg.seq for seg in self.ftl.log.closed_segments()),
-                         default=0)
-        notes_by_seg = self._live_notes_by_segment()
-        best: Optional[Segment] = None
-        best_score = None
-        for seg in self.ftl.log.closed_segments(stripe):
-            if seg.index in self._cleaning:
-                continue
-            # Translation-aware: GTD-referenced MAP pages occupy space
-            # the erase cannot reclaim for free (they must be copied
-            # forward), so they count against the candidate exactly
-            # like live data and live notes do.
-            occupied = (self.ftl._estimate_valid_count(seg)
-                        + notes_by_seg.get(seg.index, 0)
-                        + self.ftl._map_pages_in_segment(seg))
-            if occupied >= seg.data_capacity:
-                continue  # nothing reclaimable
-            if policy == "greedy":
-                score = -occupied
-            else:
-                u = occupied / seg.data_capacity
-                age = newest_seq - seg.seq + 1
-                score = (1.0 - u) * age / (1.0 + u)
+        candidates = [seg for seg in self.ftl.log.closed_segments(stripe)
+                      if seg.index not in self._cleaning]
+        occupancy = self.occupancy
+        for seg in candidates:
+            if seg.index not in occupancy:
+                if self._notes_by_segment is None:
+                    self._notes_by_segment = self._live_notes_by_segment()
+                occupancy[seg.index] = self._count_occupied(
+                    seg, self._notes_by_segment)
+        choice = self._choose(candidates, occupancy)
+        if sanitize.enabled:
+            notes_by_seg = self._live_notes_by_segment()
+            fresh = self._choose(candidates, {
+                seg.index: self._count_occupied(seg, notes_by_seg)
+                for seg in candidates})
+            sanitize.check(
+                fresh is choice,
+                f"cleaner occupancy index stale: selected "
+                f"{getattr(choice, 'index', None)}, a fresh count selects "
+                f"{getattr(fresh, 'index', None)}")
+        return choice
+
+    def _choose(self, candidates: List[Segment],
+                occupancy: Dict[int, int]) -> Optional[Segment]:
+        eligible = [(occupancy[seg.index], seg) for seg in candidates
+                    if occupancy[seg.index] < seg.data_capacity]
+        if not eligible:
+            return None  # nothing reclaimable
+        if self.ftl.config.gc_policy == "greedy":
+            # Candidates ascend by index, and min() keeps the first of
+            # equals.
+            return min(eligible, key=lambda pair: pair[0])[1]
+        newest_seq = max(seg.seq for seg in self.ftl.log.segments
+                         if seg.state is SegmentState.CLOSED)
+        best, best_score = None, None
+        for occupied, seg in eligible:
+            u = occupied / seg.data_capacity
+            score = (1.0 - u) * (newest_seq - seg.seq + 1) / (1.0 + u)
             if best_score is None or score > best_score:
                 best, best_score = seg, score
         return best

@@ -185,6 +185,11 @@ class Log:
         # a die (or, with dies == channels, a channel).
         self.num_stripes = geometry.channels
         self._pages_per_die = geometry.pages_per_die
+        # Fixed at format time, so computed once: the cleaner asks for
+        # every closed segment's stripe on every selection.
+        self._stripe_of: List[int] = [
+            self.die_of_segment(seg.index) % self.num_stripes
+            for seg in self.segments]
         if user_heads is None:
             user_heads = self.num_stripes
         if user_heads < 1:
@@ -253,7 +258,7 @@ class Log:
         return (self.segments[index].first_ppn) // self._pages_per_die
 
     def stripe_of_segment(self, index: int) -> int:
-        return self.die_of_segment(index) % self.num_stripes
+        return self._stripe_of[index]
 
     def stripe_of_head(self, head: str) -> int:
         """A head's home stripe, from its ``.N`` suffix (0 if none)."""
@@ -308,9 +313,11 @@ class Log:
         return sum(len(reserve) for reserve in self._reserve)
 
     def closed_segments(self, stripe: Optional[int] = None) -> List[Segment]:
+        """CLOSED segments (homed on ``stripe`` if given), by index."""
+        stripe_of = self._stripe_of
         return [s for s in self.segments
                 if s.state is SegmentState.CLOSED
-                and (stripe is None or self.stripe_of_segment(s.index) == stripe)]
+                and (stripe is None or stripe_of[s.index] == stripe)]
 
     def segment_of(self, ppn: int) -> Segment:
         seg = self.segments[ppn // self.segment_pages]

@@ -363,6 +363,7 @@ class MapCache:
         self._dirty.clear()
         self._size = 0
         self._seg_live.clear()
+        self._ftl.cleaner.invalidate_occupancy()
 
     def rebuild_proc(self, items) -> Generator:
         """Rebuild the whole map from ``(lba, ppn)`` pairs, bounded-RAM.
@@ -452,6 +453,7 @@ class MapCache:
             sites.phased(sites.MAP_GTD_COMMIT, sites.PHASE_PRE))
         self._gtd[tidx] = new_ppn
         seg_pages = self._ftl.log.segment_pages
+        occupancy = self._ftl.cleaner.occupancy
         if old is not None:
             seg = old // seg_pages
             remaining = self._seg_live.get(seg, 0) - 1
@@ -459,12 +461,15 @@ class MapCache:
                 self._seg_live[seg] = remaining
             else:
                 self._seg_live.pop(seg, None)
+            occupancy.pop(seg, None)
         if new_ppn is not None:
             seg = new_ppn // seg_pages
             self._seg_live[seg] = self._seg_live.get(seg, 0) + 1
+            occupancy.pop(seg, None)
 
     def _recount_seg_live(self) -> None:
         self._seg_live.clear()
+        self._ftl.cleaner.invalidate_occupancy()
         seg_pages = self._ftl.log.segment_pages
         for ppn in self._gtd:
             if ppn is not None:

@@ -200,7 +200,7 @@ def recover(ftl: "VslDevice") -> Generator:
 
     for packet in packets:
         if packet.note is not None:
-            ftl._note_registry[packet.ppn] = packet.note
+            ftl._register_note(packet.ppn, packet.note)
 
     yield from ftl._rebuild_state(packets)
 

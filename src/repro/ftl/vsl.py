@@ -18,6 +18,7 @@ Two calling conventions exist for every I/O operation:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -226,13 +227,15 @@ class VslDevice:
         self._write_gate = None          # Event while closed, else None
         self._inflight_writes = 0
         self._drain_waiters: List[Any] = []
+        # Built before the validity structures: their owners mark the
+        # cleaner's occupancy index dirty from the first mutation on.
+        self.cleaner = SegmentCleaner(self)
         self._make_structures()
         # Incremental per-segment valid-data counts (base FTL only;
         # ioSnap overrides the hooks and keeps a merged-count cache
         # instead).  Maintained on every validity set/clear so cleaner
         # candidate selection never re-scans segment bitmap ranges.
         self._seg_valid: List[int] = [0] * self.log.segment_count
-        self.cleaner = SegmentCleaner(self)
         # One cleaner worker per stripe (a 1-stripe device gets the
         # classic single global loop).  _cleaner_proc stays pointing at
         # the first worker for compat with callers that join it.
@@ -413,7 +416,7 @@ class VslDevice:
         if mapped:
             self.map.delete(lba)
         self._clear_valid_everywhere(ppn, lba)
-        self._note_registry.pop(ppn, None)
+        self._drop_note(ppn)
         self._read_cache.invalidate_range(ppn, 1)
         # ``mapped`` records whether the *active tree* lost this LBA:
         # only then must foreground reads raise instead of returning
@@ -583,7 +586,7 @@ class VslDevice:
             ppn, done = yield from self.log.append(
                 header, payload, head=self.log.user_head_for(lba))
             self._on_packet_appended(ppn, header)
-            self._note_registry[ppn] = note
+            self._register_note(ppn, note)
             yield from self._map_fault(lba)
             old = self.map.delete(lba)
             if old is not None:
@@ -818,6 +821,34 @@ class VslDevice:
             },
         }
 
+    def state_digest(self) -> str:
+        """SHA-256 fingerprint of the simulated outcome so far.
+
+        Covers virtual time, kernel work items, NAND operation counts,
+        per-head appends, cleaner totals, the sorted forward map and
+        :meth:`_digest_extra` (the snapshot list on ioSnap).  Host-side
+        caches and indexes never enter it: a change that keeps the
+        simulation bit-identical keeps the digest.
+        """
+        cleaner = self.cleaner
+        state = {
+            "now": self.kernel.now,
+            "events": self.kernel.events,
+            "nand": sorted(vars(self.nand.stats).items()),
+            "appends": sorted(self.log.stats.per_head_appends.items()),
+            "cleaner": (cleaner.segments_cleaned, cleaner.segments_retired,
+                        cleaner.pages_moved, cleaner.notes_moved,
+                        cleaner.pages_lost),
+            "map": sorted(self.map.items()),
+            **self._digest_extra(),
+        }
+        return hashlib.sha256(
+            repr(sorted(state.items())).encode()).hexdigest()
+
+    def _digest_extra(self) -> Dict[str, Any]:
+        """Layer state folded into :meth:`state_digest` (hook)."""
+        return {}
+
     def parallel_info(self) -> Dict[str, Any]:
         """Multi-queue data-path observability (info()["parallel"]).
 
@@ -916,11 +947,15 @@ class VslDevice:
 
     def _set_valid(self, ppn: int) -> None:
         if self.validity.set(ppn):
-            self._seg_valid[ppn // self.log.segment_pages] += 1
+            index = ppn // self.log.segment_pages
+            self._seg_valid[index] += 1
+            self.cleaner.occupancy.pop(index, None)
 
     def _clear_valid(self, ppn: int) -> None:
         if self.validity.clear(ppn):
-            self._seg_valid[ppn // self.log.segment_pages] -= 1
+            index = ppn // self.log.segment_pages
+            self._seg_valid[index] -= 1
+            self.cleaner.occupancy.pop(index, None)
 
     def _recount_seg_valid(self) -> None:
         """Rebuild the per-segment counts after a bulk bitmap reload."""
@@ -928,6 +963,7 @@ class VslDevice:
             self.validity.count_range(seg.first_ppn, seg.npages)
             for seg in self.log.segments
         ]
+        self.cleaner.invalidate_occupancy()
 
     def _install_mapping(self, lba: int, ppn: int) -> Generator:
         """Point ``lba`` at ``ppn``, invalidating any older location."""
@@ -990,10 +1026,22 @@ class VslDevice:
         del ppn
         return header.kind is PageKind.NOTE_TRIM
 
-    def _relocate_note(self, old_ppn: int, new_ppn: int) -> None:
-        note = self._note_registry.pop(old_ppn, None)
+    def _register_note(self, ppn: int, note: Any) -> None:
+        """Track the note page at ``ppn`` (the registry's one adder)."""
+        self._note_registry[ppn] = note
+        self.cleaner.note_registry_changed(ppn)
+
+    def _drop_note(self, ppn: int) -> Any:
+        """Stop tracking ``ppn``; returns its note, or None if untracked."""
+        note = self._note_registry.pop(ppn, None)
         if note is not None:
-            self._note_registry[new_ppn] = note
+            self.cleaner.note_registry_changed(ppn)
+        return note
+
+    def _relocate_note(self, old_ppn: int, new_ppn: int) -> None:
+        note = self._drop_note(old_ppn)
+        if note is not None:
+            self._register_note(new_ppn, note)
 
     def _on_packet_appended(self, ppn: int, header: OobHeader) -> None:
         """Hook: a packet landed at ``ppn`` (ioSnap tracks epoch sets)."""
@@ -1017,7 +1065,7 @@ class VslDevice:
         self._read_cache.invalidate_range(seg.first_ppn, seg.npages)
         for ppn in list(self._note_registry):
             if seg.contains(ppn):
-                del self._note_registry[ppn]
+                self._drop_note(ppn)
 
     def _replay_note(self, header: OobHeader, note: Any) -> None:
         """Recovery hook: process one non-trim note (base FTL: none)."""

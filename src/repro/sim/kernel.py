@@ -213,6 +213,15 @@ class Kernel:
         """Current virtual time, in nanoseconds."""
         return self._now
 
+    @property
+    def events(self) -> int:
+        """Work items scheduled so far (spawns, resumes, timers).
+
+        Depends only on code, workload and seed, so it fingerprints
+        simulated behaviour the way ``now`` does.
+        """
+        return self._seq
+
     # -- construction ----------------------------------------------------
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event`."""
