@@ -48,7 +48,6 @@ from repro.errors import (
 )
 from repro.ftl import (
     BPlusTree,
-    CpuCosts,
     DutyCycleLimiter,
     FtlConfig,
     NullLimiter,
@@ -79,7 +78,6 @@ __all__ = [
     "ByteVolume",
     "CheckpointError",
     "CowValidityBitmap",
-    "CpuCosts",
     "DutyCycleLimiter",
     "FtlConfig",
     "FtlError",

@@ -147,7 +147,7 @@ def exp_ablation_cold_segregation(rounds: int = 6) -> ExperimentResult:
                     break
                 device.cleaner.force_clean(candidate)
 
-        summaries = [epochs for epochs in device._segment_epochs.values()
+        summaries = [epochs for epochs in device._epoch_index.epochs.values()
                      if epochs]
         pure = sum(1 for epochs in summaries if len(epochs) == 1)
         purity = pure / len(summaries) if summaries else 1.0

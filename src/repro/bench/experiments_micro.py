@@ -18,7 +18,7 @@ from repro.bench.configs import (
 )
 from repro.bench.harness import ExperimentResult, Table, ratio
 from repro.core.iosnap import IoSnapDevice
-from repro.ftl.vsl import CpuCosts, VslDevice
+from repro.ftl.vsl import VslDevice
 from repro.nand.geometry import NandGeometry, NandTiming, NandConfig
 from repro.sim import Kernel, Series
 from repro.sim.stats import NS_PER_MS, NS_PER_SEC, NS_PER_US
@@ -205,7 +205,7 @@ def exp_fig7(preload_pages: int = 8000, burst_writes: int = 800,
                              store_data=False)
     config = bench_iosnap_config(
         sync_writes=True, bitmap_page_bytes=16,
-        cpu=CpuCosts(bitmap_cow_ns=50_000))
+        bitmap_cow_ns=50_000)
     device = IoSnapDevice.create(kernel, nand_config, config)
 
     rng = random.Random(9)

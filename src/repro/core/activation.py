@@ -42,11 +42,20 @@ from repro.errors import SnapshotError, UncorrectableError
 from repro.ftl.btree import BPlusTree
 from repro.ftl.packet import SnapActivateNote
 from repro.ftl.ratelimit import NullLimiter
+from repro.ftl.vsl import (
+    MAP_BULK_INSERT_NS,
+    REPLAY_PACKET_NS,
+    UNMAPPED_READ_NS,
+)
 from repro.nand.oob import OobHeader, PageKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.iosnap import IoSnapDevice
     from repro.core.snaptree import Snapshot
+
+# In-flight OOB reads per scan burst when unthrottled (a duty-cycle
+# limiter shrinks the burst to its work quantum).
+SCAN_BATCH = 16
 
 
 class ActivatedSnapshot:
@@ -155,7 +164,7 @@ class ActivatedSnapshot:
                 raise UncorrectableError(
                     f"lba {lba} of snapshot {self.snapshot.name!r} was "
                     "lost to a media fault (see the damage report)")
-            yield self.ftl.config.cpu.unmapped_read_ns
+            yield UNMAPPED_READ_NS
             return bytes(self.ftl.block_size)
         record = yield from self.ftl.nand.read_page(ppn)
         return self.ftl._payload(record)
@@ -253,13 +262,12 @@ def activate_proc(ftl: "IoSnapDevice", snap: "Snapshot",
         # active tree), paced like the scan.
         reconstruct_started = ftl.kernel.now
         items = sorted((lba, ppn) for lba, (_seq, ppn) in winners.items())
-        per_entry = ftl.config.cpu.map_bulk_insert_ns
         chunk = 1024
         for index in range(0, len(items), chunk):
-            cost = len(items[index:index + chunk]) * per_entry
+            cost = len(items[index:index + chunk]) * MAP_BULK_INSERT_NS
             yield cost
             yield from limiter.pace(cost)
-        fmap = BPlusTree.bulk_load(items, order=ftl.config.map_order)
+        fmap = BPlusTree.bulk_load(items)
 
         # Apply move-log fixups and publish atomically (no yields from
         # here to end_scan): the map must not reference pages the
@@ -312,13 +320,11 @@ def _scan_batch_size(ftl: "IoSnapDevice", limiter) -> int:
     fits its work quantum, which reduces both the *frequency* and the
     *depth* of the interference — the paper's "degree of interspersing".
     """
-    default = ftl.config.activation_scan_batch
     work_ns = getattr(limiter, "work_ns", None)
     if work_ns is None:
-        return default
-    per_read_ns = max(1, ftl.nand.timing.read_page_ns
-                      + ftl.config.cpu.replay_packet_ns)
-    return max(1, min(default, work_ns // per_read_ns))
+        return SCAN_BATCH
+    per_read_ns = max(1, ftl.nand.timing.read_page_ns + REPLAY_PACKET_NS)
+    return max(1, min(SCAN_BATCH, work_ns // per_read_ns))
 
 
 def _scan_for_path(ftl: "IoSnapDevice", path: frozenset, limiter,
@@ -345,7 +351,6 @@ def _scan_for_path(ftl: "IoSnapDevice", path: frozenset, limiter,
     casualties: list = []
     segments = sorted((seg for seg in ftl.log.segments if seg.seq >= 0),
                       key=lambda seg: seg.seq)
-    replay_ns = ftl.config.cpu.replay_packet_ns
     batch_size = _scan_batch_size(ftl, limiter)
     # Callers other than activation (snapshot diffing, replication
     # sends) pass their own counter set so their scans do not inflate
@@ -397,19 +402,18 @@ def _scan_for_path(ftl: "IoSnapDevice", path: frozenset, limiter,
             if len(pending) >= batch_size:
                 counters.bump("pages_scanned", len(pending))
                 counters.bump("header_batches")
-                yield from _read_batch(ftl, pending, fold, replay_ns,
-                                       limiter, casualties)
+                yield from _read_batch(ftl, pending, fold, limiter,
+                                       casualties)
                 pending = []
     if pending:
         counters.bump("pages_scanned", len(pending))
         counters.bump("header_batches")
-        yield from _read_batch(ftl, pending, fold, replay_ns, limiter,
-                               casualties)
+        yield from _read_batch(ftl, pending, fold, limiter, casualties)
     return winners, trims, casualties
 
 
-def _read_batch(ftl: "IoSnapDevice", ppns: list, fold,
-                replay_ns: int, limiter, casualties: list) -> Generator:
+def _read_batch(ftl: "IoSnapDevice", ppns: list, fold, limiter,
+                casualties: list) -> Generator:
     """Issue one vectored burst of OOB reads, fold results, then pace.
 
     Header reads use the salvage path: an uncorrectable page comes back
@@ -428,5 +432,5 @@ def _read_batch(ftl: "IoSnapDevice", ppns: list, fold,
             casualties.append(ppn)
             continue
         fold(ppn, header)
-    yield len(ppns) * replay_ns
+    yield len(ppns) * REPLAY_PACKET_NS
     yield from limiter.pace(ftl.kernel.now - started)

@@ -299,7 +299,6 @@ def _fold_two_paths(device: "IoSnapDevice", base_path: frozenset,
     casualties: list = []
     base_trims: Dict[int, int] = {}
     target_trims: Dict[int, int] = {}
-    replay_ns = device.config.cpu.replay_packet_ns
     batch_size = _scan_batch_size(device, limiter)
 
     def fold(ppn: int, header) -> None:
@@ -336,13 +335,13 @@ def _fold_two_paths(device: "IoSnapDevice", base_path: frozenset,
                 if len(pending) >= batch_size:
                     counters.bump("pages_scanned", len(pending))
                     counters.bump("header_batches")
-                    yield from _read_batch(device, pending, fold, replay_ns,
-                                           limiter, casualties)
+                    yield from _read_batch(device, pending, fold, limiter,
+                                           casualties)
                     pending = []
         if pending:
             counters.bump("pages_scanned", len(pending))
             counters.bump("header_batches")
-            yield from _read_batch(device, pending, fold, replay_ns, limiter,
+            yield from _read_batch(device, pending, fold, limiter,
                                    casualties)
     finally:
         device.end_scan(move_log)

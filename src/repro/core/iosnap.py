@@ -40,7 +40,12 @@ from repro.ftl.packet import (
     SnapDeleteNote,
     encode_note,
 )
-from repro.ftl.vsl import FtlConfig, VslDevice
+from repro.ftl.vsl import (
+    BITMAP_ADJUST_NS,
+    BITMAP_MERGE_PAGE_NS,
+    FtlConfig,
+    VslDevice,
+)
 from repro.nand.oob import OobHeader, PageKind
 
 
@@ -55,9 +60,6 @@ class IoSnapConfig(FtlConfig):
     # §5.6 designs writable snapshots; the paper prototypes read-only
     # activation.  We implement both, defaulting to the prototype.
     writable_activations: bool = False
-    # In-flight OOB reads per activation-scan burst when unthrottled
-    # (a duty-cycle limiter shrinks the burst to its work quantum).
-    activation_scan_batch: int = 16
     # §5.4.2: segregate cleaner output by temperature — blocks no
     # longer valid in the active epoch (snapshot-retained, i.e. cold)
     # go to a separate GC head from still-hot active data.  This
@@ -97,6 +99,10 @@ class IoSnapConfig(FtlConfig):
         super().__post_init__()
         if self.snapshot_limit < 0:
             raise ValueError("snapshot_limit must be >= 0 (0 = unlimited)")
+        if self.residue_cache_entries < 0:
+            raise ValueError("residue_cache_entries must be >= 0 (0 = off)")
+        if self.residue_cache_bytes < 0:
+            raise ValueError("residue_cache_bytes must be >= 0 (0 = off)")
 
 
 @dataclass
@@ -455,11 +461,11 @@ class IoSnapDevice(VslDevice):
             # the paper's Figure 7 measures.
             copies += 1 if bitmap.clear(old) else 0
         if copies:
-            yield copies * self.config.cpu.bitmap_cow_ns
+            yield copies * self.config.bitmap_cow_ns
 
     def _uninstall_mapping(self, old_ppn: int) -> Generator:
         if self.active_bitmap.clear(old_ppn):
-            yield self.config.cpu.bitmap_cow_ns
+            yield self.config.bitmap_cow_ns
 
     def _compute_valid(self, seg: Segment) -> Tuple[List[int], int]:
         """Merged validity across live epochs (paper Figure 6).
@@ -474,7 +480,7 @@ class IoSnapDevice(VslDevice):
         pages_touched = (seg.npages + self.active_bitmap.bits_per_page - 1) \
             // self.active_bitmap.bits_per_page
         merge_cost = pages_touched * len(bitmaps) \
-            * self.config.cpu.bitmap_merge_page_ns
+            * BITMAP_MERGE_PAGE_NS
         return valid, merge_cost
 
     def _estimate_valid_count(self, seg: Segment) -> int:
@@ -560,12 +566,7 @@ class IoSnapDevice(VslDevice):
         self._residues.on_block_moved(header.lba, old_ppn, new_ppn)
         self.record_move(old_ppn, new_ppn, header)
         if adjustments:
-            yield adjustments * self.config.cpu.bitmap_adjust_ns
-
-    @property
-    def _segment_epochs(self) -> Dict[int, set]:
-        """Compatibility view of the index's per-segment epoch sets."""
-        return self._epoch_index.epochs
+            yield adjustments * BITMAP_ADJUST_NS
 
     def _on_packet_appended(self, ppn: int, header: OobHeader) -> None:
         if header.kind in (PageKind.DATA, PageKind.NOTE_TRIM):
@@ -655,19 +656,15 @@ class IoSnapDevice(VslDevice):
                     generation: Optional[int]) -> None:
         self.tree = SnapshotTree.restore(extra["tree"])
         # Durable selective-scan index: validation-first restore, with
-        # the pre-v3 full-media sweep as the fallback.  The restore
-        # cross-checks the image against the log bookkeeping adopted
-        # just before this hook runs; on the stale-generation fallback
-        # path the log is still pristine, the image fails validation,
-        # and the subsequent log replay rebuilds the index wholesale.
-        index: Optional[SegmentEpochIndex] = None
-        image = extra.get("epoch_index")
-        if image is not None:
-            try:
-                index = SegmentEpochIndex.restore(image, self.log, generation)
-            except SummaryIndexError:
-                index = None
-        if index is None:
+        # a full-media sweep as the fallback.  The restore cross-checks
+        # the image against the log bookkeeping adopted just before
+        # this hook runs; on the stale-generation fallback path the log
+        # is still pristine, the image fails validation, and the
+        # subsequent log replay rebuilds the index wholesale.
+        try:
+            index = SegmentEpochIndex.restore(extra["epoch_index"],
+                                              self.log, generation)
+        except SummaryIndexError:
             index = SegmentEpochIndex.rebuild_from_media(self.nand.array,
                                                          self.log)
         self._epoch_index = index

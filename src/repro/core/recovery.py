@@ -35,6 +35,7 @@ from repro.ftl.packet import (
     SnapDeleteNote,
 )
 from repro.ftl.recovery import ScannedPacket
+from repro.ftl.vsl import BITMAP_ADJUST_NS, MAP_BULK_INSERT_NS
 from repro.nand.oob import PageKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,10 +119,9 @@ def rebuild_iosnap_state(ftl: "IoSnapDevice",
         # so the cache's writeback appends land on live heads.
         yield from ftl.map.rebuild_proc(items)
     else:
-        ftl.map = BPlusTree.bulk_load(items, order=ftl.config.map_order)
+        ftl.map = BPlusTree.bulk_load(items)
     _assert_no_activation_residue(ftl)
-    cost = (diff_ops * ftl.config.cpu.bitmap_adjust_ns
-            + len(items) * ftl.config.cpu.map_bulk_insert_ns)
+    cost = (diff_ops * BITMAP_ADJUST_NS + len(items) * MAP_BULK_INSERT_NS)
     if cost:
         yield cost
 

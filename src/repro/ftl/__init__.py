@@ -21,12 +21,11 @@ from repro.ftl.packet import (
 from repro.ftl.ratelimit import CleanerPacer, DutyCycleLimiter, NullLimiter
 from repro.ftl.recovery import ScannedPacket, fold_winners, recover, scan_log
 from repro.ftl.validity import ValidityBitmap, merge_pages, popcount
-from repro.ftl.vsl import CpuCosts, FtlConfig, FtlMetrics, VslDevice
+from repro.ftl.vsl import FtlConfig, FtlMetrics, VslDevice
 
 __all__ = [
     "BPlusTree",
     "CleanerPacer",
-    "CpuCosts",
     "DutyCycleLimiter",
     "FtlConfig",
     "FtlMetrics",

@@ -32,20 +32,19 @@ from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.errors import CheckpointError, PowerLossError
 from repro.ftl.btree import BPlusTree
+from repro.ftl.vsl import MAP_BULK_INSERT_NS, REPLAY_PACKET_NS
 from repro.nand.oob import OobHeader, PageKind
 from repro.torture import sites
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.vsl import VslDevice
 
+# The only image version restore accepts; anything else is refused
+# and the open falls back to log-scan recovery.  A flash-resident-map
+# image carries ``map_items: None`` plus a ``map_gtd`` directory image
+# (the map's pages already live on flash); an all-RAM image carries
+# ``map_items`` and no directory.
 CHECKPOINT_VERSION = 4
-# Older images we can still restore.  v3 added the generation-stamped
-# epoch-summary index inside ``extra``; restoring a v1/v2 image simply
-# finds no index and rebuilds it from media.  v4 added the
-# flash-resident-map option: such images carry ``map_items: None`` plus
-# a ``map_gtd`` directory image (the map's pages already live on
-# flash), while RAM-map v4 images look exactly like v3.
-_COMPAT_VERSIONS = (1, 2, 3, CHECKPOINT_VERSION)
 
 
 def write_checkpoint(ftl: "VslDevice") -> Generator:
@@ -145,7 +144,7 @@ def _read_and_validate(ftl: "VslDevice", ppns: List[int],
     except Exception as exc:  # lint: allow-broad-except(pickle.loads raises arbitrary exception types on corrupt input; no media I/O happens here so a power cut cannot be swallowed)
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     version = state.get("version")
-    if version not in _COMPAT_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     for key in ("seq", "map_items", "notes", "extra"):
         if key not in state:
@@ -208,26 +207,24 @@ def restore_checkpoint(ftl: "VslDevice") -> Generator:
 
     ftl._next_seq = state["seq"]
     if not ftl.map_is_cached:
-        ftl.map = BPlusTree.bulk_load(state["map_items"],
-                                      order=ftl.config.map_order)
-        yield len(state["map_items"]) * ftl.config.cpu.map_bulk_insert_ns
+        ftl.map = BPlusTree.bulk_load(state["map_items"])
+        yield len(state["map_items"]) * MAP_BULK_INSERT_NS
     ftl._note_registry = state["notes"]
     ftl.cleaner.invalidate_occupancy()
     if not fallback:
         # Adopt the log's segment bookkeeping *before* the extra-state
         # hook: the ioSnap layer cross-validates its durable epoch
         # index against each segment's adopted allocation seq, and the
-        # cached map's restore below may append (a v<=3 image replays
-        # its map_items through the bounded cache, flushing pages to
-        # the map head) — appends need adopted heads.
+        # cached map's restore below may append (an all-RAM image
+        # replays its map_items through the bounded cache, flushing
+        # pages to the map head) — appends need adopted heads.
         ftl.log.adopt_state(*sb["log_state"])
         ftl._load_extra(state["extra"], state.get("generation"))
         if ftl.map_is_cached:
             gtd_image = state.get("map_gtd")
             if gtd_image is not None:
                 ftl.map.adopt_gtd(gtd_image)
-                yield len(gtd_image["gtd"]) * \
-                    ftl.config.cpu.replay_packet_ns
+                yield len(gtd_image["gtd"]) * REPLAY_PACKET_NS
             else:
                 yield from ftl.map.rebuild_proc(state["map_items"])
         return

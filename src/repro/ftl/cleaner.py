@@ -49,11 +49,12 @@ class SegmentCleaner:
         self.pacer = CleanerPacer(
             self.kernel, budget_ns=int(ftl.config.cleaner_budget_ms * NS_PER_MS))
         self._stopped = False
-        # One run() loop per stripe (or a single global loop, key None);
-        # each parks on its own wakeup and paces with its own budget so
-        # concurrent cleans on different stripes don't clobber pacing.
-        self._wakeups: Dict[Optional[int], object] = {}
-        self._pacers: Dict[Optional[int], CleanerPacer] = {None: self.pacer}
+        # One run() loop per stripe; each parks on its own wakeup and
+        # paces with its own budget so concurrent cleans on different
+        # stripes don't clobber pacing.  ``pacer`` paces direct
+        # clean_segment() calls.
+        self._wakeups: Dict[int, object] = {}
+        self._pacers: Dict[int, CleanerPacer] = {}
         # Segments currently being cleaned: selection skips these so
         # two stripe workers never claim the same candidate.
         self._cleaning: Set[int] = set()
@@ -86,12 +87,12 @@ class SegmentCleaner:
             if not wakeup.triggered:
                 wakeup.trigger()
 
-    def _park(self, stripe: Optional[int]):
+    def _park(self, stripe: int):
         wakeup = self.kernel.event()
         self._wakeups[stripe] = wakeup
         return wakeup
 
-    def _pacer_for(self, stripe: Optional[int]) -> CleanerPacer:
+    def _pacer_for(self, stripe: int) -> CleanerPacer:
         pacer = self._pacers.get(stripe)
         if pacer is None:
             pacer = self._pacers[stripe] = CleanerPacer(
@@ -103,29 +104,26 @@ class SegmentCleaner:
                 < self.ftl.config.gc_low_watermark)
 
     # -- main loop -----------------------------------------------------------
-    def run(self, stripe: Optional[int] = None) -> Generator:
-        """Background worker: clean whenever under space pressure.
+    def run(self, stripe: int) -> Generator:
+        """Background worker for ``stripe``: clean under space pressure.
 
-        With ``stripe`` given the worker prefers candidates homed on
-        that stripe (die affinity for its copy-forward appends) but
+        One worker is spawned per stripe.  It prefers candidates homed
+        on its stripe (die affinity for its copy-forward appends) but
         borrows globally rather than idling while another stripe holds
         garbage — space is fungible, affinity is just a preference.
-        One worker is spawned per stripe; a 1-stripe device gets the
-        classic single global cleaner.
         """
         while not self._stopped:
             if not self._pressure():
                 yield self._park(stripe)
                 continue
             candidate = self.select_candidate(stripe)
-            if candidate is None and stripe is not None:
+            if candidate is None:
                 candidate = self.select_candidate()
             if candidate is None and self.ftl.log.free_segment_count() == 0:
                 # Last resort: reclaimable pages may be trapped in the
                 # open head segments; close one and look again.
                 if self.ftl.log.force_close_head(stripe=stripe) \
-                        or (stripe is not None
-                            and self.ftl.log.force_close_head()):
+                        or self.ftl.log.force_close_head():
                     candidate = self.select_candidate()
             if candidate is None:
                 if (self.ftl.log.free_segment_count() == 0

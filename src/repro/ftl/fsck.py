@@ -461,7 +461,7 @@ def _check_iosnap(device) -> List[str]:
             index = device.log.segment_of(ppn).index
             actual.setdefault(index, set()).add(header.epoch)
     for index, epochs in actual.items():
-        summary = device._segment_epochs.get(index, set())
+        summary = device._epoch_index.epochs.get(index, set())
         missing = epochs - summary
         if missing:
             out.append(f"S5: segment {index} summary missing epochs "

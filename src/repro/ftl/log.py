@@ -269,8 +269,6 @@ class Log:
 
     def user_head_for(self, lba: int) -> str:
         """The user head serving ``lba``: stable, so per-LBA order holds."""
-        if self.user_head_count == 1:
-            return "user"
         return stripe_head("user", lba % self.user_head_count)
 
     def user_head_names(self) -> List[str]:

@@ -54,6 +54,7 @@ from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.errors import CheckpointError, UncorrectableError
 from repro.ftl.packet import decode_payload, encode_payload
+from repro.ftl.vsl import REPLAY_PACKET_NS
 from repro.nand.oob import OobHeader, PageKind
 from repro.sim.stats import Counters
 from repro.torture import sites
@@ -64,6 +65,8 @@ from repro.torture import sites
 _PAGE_FIXED_BYTES = 96
 _BYTES_PER_ENTRY = 8
 _BYTES_PER_REF = 8
+#: Most dirty pages one eviction writes back (in LRU order).
+_DIRTY_BATCH = 8
 
 
 class TranslationPage:
@@ -88,12 +91,10 @@ class TranslationPage:
 class MapCache:
     """Bounded-RAM LRU cache over the flash-resident forward map."""
 
-    def __init__(self, ftl, span: int, budget_pages: int,
-                 dirty_batch: int) -> None:
+    def __init__(self, ftl, span: int, budget_pages: int) -> None:
         self._ftl = ftl
         self.span = span
         self.budget_pages = budget_pages
-        self.dirty_batch = max(1, dirty_batch)
         npages = -(-ftl.num_lbas // span)  # ceil
         self._gtd: List[Optional[int]] = [None] * npages
         self._pages: "OrderedDict[int, TranslationPage]" = OrderedDict()
@@ -226,7 +227,7 @@ class MapCache:
         """Shrink the cache back to budget, writing back dirty victims.
 
         Clean victims drop synchronously; a dirty victim triggers a
-        writeback batch (up to ``dirty_batch`` LRU-ordered dirty pages
+        writeback batch (up to ``_DIRTY_BATCH`` LRU-ordered dirty pages
         in one go) and the loop re-evaluates — residency and dirtiness
         are re-read fresh after every yield.
         """
@@ -242,7 +243,7 @@ class MapCache:
                 # than append map pages the cleaner would have to chase.
                 return
             batch = [page for page in list(self._pages.values())
-                     if page.dirty][:self.dirty_batch]
+                     if page.dirty][:_DIRTY_BATCH]
             for page in batch:
                 yield from self._writeback_page_proc(page)
 
@@ -379,7 +380,7 @@ class MapCache:
             self.insert(lba, ppn)
             if len(self._pages) > self.budget_pages:
                 yield from self._evict_proc()
-        yield len(self._gtd) * self._ftl.config.cpu.replay_packet_ns
+        yield len(self._gtd) * REPLAY_PACKET_NS
 
     # -- internals -----------------------------------------------------------
     def _resident(self, tidx: int, fault: bool) -> TranslationPage:

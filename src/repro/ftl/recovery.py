@@ -22,6 +22,7 @@ from repro.errors import EraseFailError, TornPageError, UncorrectableError
 from repro.faults.damage import DamageEntry
 from repro.ftl.log import SegmentState
 from repro.ftl.packet import decode_note
+from repro.ftl.vsl import REPLAY_PACKET_NS
 from repro.nand.oob import NOTE_KINDS, OobHeader, PageKind
 from repro.torture import sites
 
@@ -158,7 +159,7 @@ def scan_log(ftl: "VslDevice") -> Generator:
                     at_ns=ftl.kernel.now, lost=True))
                 offset += 1
                 continue
-            yield ftl.config.cpu.replay_packet_ns
+            yield REPLAY_PACKET_NS
             note = None
             if header.kind in NOTE_KINDS:
                 try:

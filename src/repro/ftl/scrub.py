@@ -35,6 +35,11 @@ from repro.torture import sites
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.vsl import VslDevice
 
+INTERVAL_MS = 50.0        # one patrol pass per interval
+PAGES_PER_PASS = 64       # pass budget, split evenly across stripes
+WORK_US = 100.0           # DutyCycleLimiter work quantum ...
+SLEEP_MS = 1.0            # ... and sleep per quantum
+
 
 class Scrubber:
     """Patrol-read live pages; relocate the ones aging toward death."""
@@ -42,21 +47,15 @@ class Scrubber:
     def __init__(self, ftl: "VslDevice") -> None:
         self.ftl = ftl
         self.kernel = ftl.kernel
-        cfg = ftl.config
         self.limiter = DutyCycleLimiter.from_paper_knob(
-            self.kernel, cfg.scrub_work_us, cfg.scrub_sleep_ms)
+            self.kernel, WORK_US, SLEEP_MS)
         self._stopped = False
-        # Patrol cursor per worker: one worker per stripe (or a single
-        # global worker under key None).  Counters are shared.
+        # Patrol cursor per stripe worker (key None: a direct global
+        # scrub_pass()).  Counters are shared.
         self._cursors: Dict[Optional[int], int] = {}
         self.counters = Counters("passes", "pages_scanned",
                                  "pages_relocated", "notes_relocated",
                                  "pages_lost")
-
-    @property
-    def _cursor(self) -> int:
-        """The global worker's patrol cursor (compat/observability)."""
-        return self._cursors.get(None, 0)
 
     def stop(self) -> None:
         self._stopped = True
@@ -65,29 +64,25 @@ class Scrubber:
     def threshold_bits(self) -> int:
         """Error count that triggers relocation.
 
-        Defaults to the ECC's base correction budget: scrub as soon as
-        a read would need the retry ladder, well before the ladder's
-        reach runs out.
+        The ECC's base correction budget: scrub as soon as a read would
+        need the retry ladder, well before the ladder's reach runs out.
+        Without a fault model nothing ever triggers.
         """
-        configured = self.ftl.config.scrub_threshold_bits
-        if configured > 0:
-            return configured
         faults = self.ftl.nand.faults
         if faults is None:
             return 1 << 30
         return faults.ecc.config.correctable_bits
 
     # -- main loop ---------------------------------------------------------
-    def run(self, stripe: Optional[int] = None) -> Generator:
+    def run(self, stripe: int) -> Generator:
         """Background worker: one bounded patrol pass per interval.
 
         One worker is spawned per stripe; each patrols only segments
         homed on its stripe and relocates onto that stripe's GC head,
         so concurrent patrols overlap across dies instead of queueing
-        behind each other (and behind the cleaner) on one head.  A
-        1-stripe device gets the classic single global patrol.
+        behind each other (and behind the cleaner) on one head.
         """
-        interval_ns = int(self.ftl.config.scrub_interval_ms * NS_PER_MS)
+        interval_ns = int(INTERVAL_MS * NS_PER_MS)
         while not self._stopped:
             yield interval_ns
             if self._stopped:
@@ -111,7 +106,7 @@ class Scrubber:
         if ftl.nand.faults is None:
             return
         self.counters.bump("passes")
-        budget = ftl.config.scrub_pages_per_pass
+        budget = PAGES_PER_PASS
         if stripe is not None:
             budget = max(1, budget // ftl.log.num_stripes)
         seg_count = ftl.log.segment_count

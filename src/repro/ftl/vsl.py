@@ -42,16 +42,13 @@ from repro.nand.oob import OobHeader, PageKind
 from repro.sim import Kernel
 
 
-@dataclass(frozen=True)
-class CpuCosts:
-    """Host CPU costs charged to virtual time, in nanoseconds."""
-
-    replay_packet_ns: int = 300        # per packet during scans/recovery
-    map_bulk_insert_ns: int = 1_500    # per entry when (re)building a map
-    bitmap_cow_ns: int = 20_000        # per validity bitmap page copied
-    bitmap_merge_page_ns: int = 2_000  # per bitmap page OR'd in a merge
-    bitmap_adjust_ns: int = 200        # per epoch bit fixed on copy-forward
-    unmapped_read_ns: int = 1_000      # read of a never-written LBA
+# Host CPU costs charged to virtual time, in nanoseconds.  The one
+# cost a caller varies (Figure 7's CoW copy) is ``FtlConfig.bitmap_cow_ns``.
+REPLAY_PACKET_NS = 300        # per packet during scans/recovery
+MAP_BULK_INSERT_NS = 1_500    # per entry when (re)building a map
+BITMAP_MERGE_PAGE_NS = 2_000  # per bitmap page OR'd in a merge
+BITMAP_ADJUST_NS = 200        # per epoch bit fixed on copy-forward
+UNMAPPED_READ_NS = 1_000      # read of a never-written LBA
 
 
 @dataclass
@@ -68,14 +65,12 @@ class FtlConfig:
     gc_reserve_segments: int = 2
     bitmap_page_bytes: int = 64        # validity CoW granularity
     sync_writes: bool = False
-    map_order: int = 64
     # Flash-resident forward map (repro.ftl.mapcache).  0 keeps the
     # classic all-RAM B+ tree; > 0 bounds resident translation pages
     # to that many cache slots, with the map itself living on flash
     # behind a GTD.  ``map_span`` is LBAs per translation page.
     map_cache_pages: int = 0
     map_span: int = 64
-    map_dirty_batch: int = 8
     cleaner_budget_ms: float = 20.0    # pacing budget per segment clean
     readahead_pages: int = 8           # 0 disables sequential readahead
     # Segment selection: "greedy" (most reclaimable space) or
@@ -83,16 +78,9 @@ class FtlConfig:
     # segments even when slightly fuller — lower long-run write
     # amplification under skewed workloads).
     gc_policy: str = "greedy"
-    # Background scrubber (media-fault patrol; only runs when the NAND
-    # device carries a fault model).  threshold_bits == 0 means "auto":
-    # relocate once a page needs more correction than the ECC's base
-    # budget (i.e. as soon as reads start hitting the retry ladder).
-    scrub_interval_ms: float = 50.0
-    scrub_pages_per_pass: int = 64
-    scrub_threshold_bits: int = 0
-    scrub_work_us: float = 100.0       # DutyCycleLimiter work quantum
-    scrub_sleep_ms: float = 1.0        # ... and sleep per quantum
-    cpu: CpuCosts = field(default_factory=CpuCosts)
+    # Virtual CPU charged per validity bitmap page copied on write
+    # (Figure 7 raises it).
+    bitmap_cow_ns: int = 20_000
 
     def __post_init__(self) -> None:
         if self.blocks_per_segment < 1:
@@ -107,19 +95,15 @@ class FtlConfig:
             raise ValueError("gc_reserve_segments must be >= 0")
         if self.gc_policy not in ("greedy", "cost_benefit"):
             raise ValueError(f"unknown gc_policy {self.gc_policy!r}")
-        if self.scrub_interval_ms <= 0:
-            raise ValueError("scrub_interval_ms must be > 0")
-        if self.scrub_pages_per_pass < 1:
-            raise ValueError("scrub_pages_per_pass must be >= 1")
-        if self.scrub_threshold_bits < 0:
-            raise ValueError("scrub_threshold_bits must be >= 0")
         if self.map_cache_pages < 0:
             raise ValueError("map_cache_pages must be >= 0 (0 = all-RAM)")
         if not 1 <= self.map_span <= 256:
             raise ValueError("map_span must be in [1, 256] "
                              "(one MAP packet must fit a flash page)")
-        if self.map_dirty_batch < 1:
-            raise ValueError("map_dirty_batch must be >= 1")
+        if self.readahead_pages < 0:
+            raise ValueError("readahead_pages must be >= 0 (0 = off)")
+        if self.bitmap_cow_ns < 0:
+            raise ValueError("bitmap_cow_ns must be >= 0")
 
 
 @dataclass
@@ -236,17 +220,9 @@ class VslDevice:
         # instead).  Maintained on every validity set/clear so cleaner
         # candidate selection never re-scans segment bitmap ranges.
         self._seg_valid: List[int] = [0] * self.log.segment_count
-        # One cleaner worker per stripe (a 1-stripe device gets the
-        # classic single global loop).  _cleaner_proc stays pointing at
-        # the first worker for compat with callers that join it.
-        if self.log.num_stripes == 1:
-            self._cleaner_procs = [
-                kernel.spawn(self.cleaner.run(), name="cleaner")]
-        else:
-            self._cleaner_procs = [
-                kernel.spawn(self.cleaner.run(stripe), name=f"cleaner-{stripe}")
-                for stripe in range(self.log.num_stripes)]
-        self._cleaner_proc = self._cleaner_procs[0]
+        self._cleaner_procs = [
+            kernel.spawn(self.cleaner.run(stripe), name=f"cleaner-{stripe}")
+            for stripe in range(self.log.num_stripes)]
         self.log.on_space_pressure = lambda: self.cleaner.maybe_kick(force=True)
         # Media-fault survival state: a manifest of what the medium
         # destroyed, and a read-only latch that trips when grown-bad
@@ -257,18 +233,12 @@ class VslDevice:
         self.log.on_segment_retired = self._note_segment_retired
         self.scrubber: Optional[Scrubber] = None
         self._scrub_procs: List[Any] = []
-        self._scrub_proc = None
         if nand.faults is not None:
             self.scrubber = Scrubber(self)
-            if self.log.num_stripes == 1:
-                self._scrub_procs = [
-                    kernel.spawn(self.scrubber.run(), name="scrubber")]
-            else:
-                self._scrub_procs = [
-                    kernel.spawn(self.scrubber.run(stripe),
-                                 name=f"scrubber-{stripe}")
-                    for stripe in range(self.log.num_stripes)]
-            self._scrub_proc = self._scrub_procs[0]
+            self._scrub_procs = [
+                kernel.spawn(self.scrubber.run(stripe),
+                             name=f"scrubber-{stripe}")
+                for stripe in range(self.log.num_stripes)]
         self._open = True
 
     # ------------------------------------------------------------------
@@ -539,7 +509,7 @@ class VslDevice:
                 raise UncorrectableError(
                     f"lba {lba} was lost to a media fault "
                     "(see the damage report)")
-            yield self.config.cpu.unmapped_read_ns
+            yield UNMAPPED_READ_NS
             return bytes(self.block_size)
         record = self._read_cache.get(ppn)
         if record is None and ppn in self._prefetch_inflight:
@@ -721,9 +691,8 @@ class VslDevice:
         if self.config.map_cache_pages > 0:
             from repro.ftl.mapcache import MapCache
             return MapCache(self, span=self.config.map_span,
-                            budget_pages=self.config.map_cache_pages,
-                            dirty_batch=self.config.map_dirty_batch)
-        return BPlusTree(order=self.config.map_order)
+                            budget_pages=self.config.map_cache_pages)
+        return BPlusTree()
 
     def map_info(self) -> Dict[str, Any]:
         """Forward-map observability (info()["map"])."""
@@ -985,7 +954,7 @@ class VslDevice:
         valid = list(self.validity.iter_set_in_range(seg.first_ppn, seg.npages))
         pages_touched = (seg.npages + self.validity.bits_per_page - 1) \
             // self.validity.bits_per_page
-        return valid, pages_touched * self.config.cpu.bitmap_merge_page_ns
+        return valid, pages_touched * BITMAP_MERGE_PAGE_NS
 
     def _estimate_valid_count(self, seg: Segment) -> int:
         """Move-count estimate used to pace the cleaner.
@@ -1088,8 +1057,8 @@ class VslDevice:
             # orphaned here (the cleaner reclaims them).
             yield from self.map.rebuild_proc(items)
         else:
-            self.map = BPlusTree.bulk_load(items, order=self.config.map_order)
-        yield len(items) * self.config.cpu.map_bulk_insert_ns
+            self.map = BPlusTree.bulk_load(items)
+        yield len(items) * MAP_BULK_INSERT_NS
         self._rebuild_validity(winners)
 
     def _dump_extra(self, generation: int) -> Dict[str, Any]:

@@ -1,11 +1,13 @@
 """Tests for snapshot activation (scan, rate limiting, writable clones)."""
 
+import math
 import random
 
 import pytest
 
+from repro.core.activation import _scan_batch_size
 from repro.errors import SnapshotError
-from repro.ftl.ratelimit import DutyCycleLimiter
+from repro.ftl.ratelimit import DutyCycleLimiter, NullLimiter
 
 
 class TestActivation:
@@ -120,6 +122,26 @@ class TestActivation:
         view.deactivate()
         assert slow > 2 * fast
         assert limiter.total_slept_ns > 0
+
+    def test_cold_scan_reads_headers_in_bursts_of_16(self, iosnap):
+        for lba in range(150):
+            iosnap.write(lba, b"x")
+        iosnap.snapshot_create("s")
+        iosnap.snapshot_activate("s").deactivate()
+        counters = iosnap.activation_counters
+        assert counters["pages_scanned"] > 16
+        assert counters["header_batches"] == \
+            math.ceil(counters["pages_scanned"] / 16)
+
+    def test_duty_cycle_limiter_shrinks_the_burst(self, kernel, iosnap):
+        assert _scan_batch_size(iosnap, NullLimiter()) == 16
+        per_read_ns = iosnap.nand.timing.read_page_ns + 300
+        limiter = DutyCycleLimiter(kernel, work_ns=5 * per_read_ns + 7,
+                                   sleep_ns=1_000)
+        assert _scan_batch_size(iosnap, limiter) == 5
+        big = DutyCycleLimiter(kernel, work_ns=40 * per_read_ns,
+                               sleep_ns=1_000)
+        assert _scan_batch_size(iosnap, big) == 16  # capped at the burst
 
     def test_activated_map_is_compact(self, iosnap):
         rng = random.Random(1)

@@ -211,7 +211,7 @@ class TestColdSegregation:
                 candidate = device.cleaner.select_candidate()
                 if candidate is not None:
                     device.cleaner.force_clean(candidate)
-            summaries = [s for s in device._segment_epochs.values() if s]
+            summaries = [s for s in device._epoch_index.epochs.values() if s]
             mixing[segregate] = sum(1 for s in summaries if len(s) > 1)
         assert mixing[True] <= mixing[False]
 

@@ -55,17 +55,17 @@ class TestSelectiveScan:
         device = self._prepare(kernel, selective=True)
         device.crash()
         recovered = IoSnapDevice.open(kernel, device.nand)
-        assert recovered._segment_epochs  # rebuilt from the scan
+        assert recovered._epoch_index.epochs  # rebuilt from the scan
         view = recovered.snapshot_activate("early")
         assert len(view.map) == 60
         view.deactivate()
 
     def test_summary_survives_checkpoint(self, kernel):
         device = self._prepare(kernel, selective=True)
-        before = {k: set(v) for k, v in device._segment_epochs.items()}
+        before = {k: set(v) for k, v in device._epoch_index.epochs.items()}
         device.shutdown()
         reopened = IoSnapDevice.open(kernel, device.nand)
-        assert {k: set(v) for k, v in reopened._segment_epochs.items()} \
+        assert {k: set(v) for k, v in reopened._epoch_index.epochs.items()} \
             == before
 
     def test_selective_scan_correct_after_cleaning(self, kernel):

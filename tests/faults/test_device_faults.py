@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.iosnap import IoSnapConfig, IoSnapDevice
 from repro.errors import DegradedModeError, UncorrectableError
+from repro.faults.ecc import EccConfig
 from repro.faults.model import FaultConfig, FaultPlan, MediaFaultModel
+from repro.ftl.scrub import Scrubber
 from repro.nand.geometry import NandConfig
 from repro.sim import Kernel
 
@@ -58,6 +60,23 @@ class TestScrubberPreservesEpochValidity:
         for lba in range(20):
             want = f"v2-{lba}".encode()
             assert device.read(lba)[:len(want)] == want
+
+
+class TestScrubThreshold:
+    def test_threshold_is_the_ecc_base_budget(self):
+        plan = FaultPlan(config=FaultConfig(
+            seed=5, ecc=EccConfig(correctable_bits=5)))
+        _kernel, device = make_faulty(plan)
+        assert device.scrubber.threshold_bits == 5
+
+    def test_fault_free_device_never_scrubs(self, iosnap):
+        assert iosnap.scrubber is None
+        for lba in range(40):
+            iosnap.write(lba, b"x")
+        scrubber = Scrubber(iosnap)
+        nand = iosnap.nand
+        assert all(nand.media_error_bits(ppn) < scrubber.threshold_bits
+                   for ppn in range(nand.geometry.total_pages))
 
 
 class TestSelfHealing:

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.errors import CheckpointError
+from repro.ftl import checkpoint, recovery
 from repro.ftl.checkpoint import restore_checkpoint
+from repro.ftl.fsck import fsck
 from repro.ftl.recovery import fold_winners
 from repro.ftl.vsl import FtlConfig, VslDevice
 from repro.nand.geometry import NandConfig
@@ -103,6 +105,38 @@ class TestCheckpoint:
         reopened = VslDevice.open(kernel, device.nand)
         verify(reopened, model)
 
+    def test_older_version_is_refused_and_log_recovers(self, kernel,
+                                                        monkeypatch):
+        device = make_device(kernel)
+        model = write_pattern(device, count=80)
+        monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", 3)
+        device.shutdown()  # a well-formed blob stamped version 3
+        monkeypatch.undo()
+
+        fresh = VslDevice(kernel, device.nand, FtlConfig())
+
+        def proc():
+            yield from restore_checkpoint(fresh)
+
+        with pytest.raises(CheckpointError, match="version 3"):
+            kernel.run_process(proc())
+        fresh.cleaner.stop()
+        kernel.run()
+        assert device.nand.superblock["clean"]
+
+        scans = []
+        real_recover = recovery.recover
+
+        def counting_recover(ftl):
+            scans.append(ftl)
+            return real_recover(ftl)
+
+        monkeypatch.setattr(recovery, "recover", counting_recover)
+        reopened = VslDevice.open(kernel, device.nand)
+        assert scans == [reopened]  # opened through the log scan
+        verify(reopened, model)
+        assert fsck(reopened) == []
+
     def test_trims_survive_checkpoint(self, kernel):
         device = make_device(kernel)
         device.write(5, b"doomed")
@@ -113,7 +147,7 @@ class TestCheckpoint:
 
 
 class TestCheckpointGenerations:
-    """v2 checkpoints: generation counter, CRC stamp, prev fallback."""
+    """Checkpoint generations: counter, CRC stamp, prev fallback."""
 
     def test_generation_and_crc_stamped(self, kernel):
         device = make_device(kernel)

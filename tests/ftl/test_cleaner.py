@@ -153,4 +153,4 @@ class TestBackgroundCleaning:
         device.write(0, b"x")
         device.cleaner.stop()
         kernel.run()
-        assert device._cleaner_proc.done
+        assert device._cleaner_procs[0].done

@@ -132,13 +132,13 @@ class TestCorruptionDetected:
     def test_summary_under_approximation(self, kernel, iosnap):
         ppn = kernel.run_process(iosnap.write_proc(0, b"x"))
         index = iosnap.log.segment_of(ppn).index
-        iosnap._segment_epochs[index].clear()
+        iosnap._epoch_index.epochs[index].clear()
         assert any("S5" in v for v in fsck(iosnap))
 
     def test_summary_phantom_epoch(self, kernel, iosnap):
         ppn = kernel.run_process(iosnap.write_proc(0, b"x"))
         index = iosnap.log.segment_of(ppn).index
-        iosnap._segment_epochs[index].add(999)
+        iosnap._epoch_index.epochs[index].add(999)
         violations = fsck(iosnap)
         # A phantom epoch is still a superset, so S5 stays quiet; only
         # the exactness audit catches it.

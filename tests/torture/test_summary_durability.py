@@ -1,6 +1,6 @@
 """Durability of the epoch-summary index across power cuts.
 
-The index rides the v3 checkpoint: dump → checkpoint pages → superblock
+The index rides the checkpoint: dump → checkpoint pages → superblock
 commit.  The dangerous window is *between* those steps — a cut after
 the summary pages are durable but before the superblock commit must
 not leave the next open trusting a half-committed index, and a reopen
