@@ -375,6 +375,7 @@ def _scan_for_path(ftl: "IoSnapDevice", path: frozenset, limiter,
 
     pending: list = []
     selective = ftl.config.selective_scan
+    array = ftl.nand.array
     for seg in segments:
         start_offset = 1
         if residue is not None:
@@ -391,13 +392,11 @@ def _scan_for_path(ftl: "IoSnapDevice", path: frozenset, limiter,
             # landed in this segment — skip it wholesale.
             counters.bump("segments_skipped")
             continue
-        for ppn in seg.written_ppns(start_offset):
-            # A concurrent append may have reserved (but not yet
-            # programmed) the tail of the open segment; a torn page is
-            # power-cut residue awaiting erase — neither holds a packet.
-            if (not ftl.nand.array.is_programmed(ppn)
-                    or ftl.nand.array.is_torn(ppn)):
-                continue
+        # A concurrent append may have reserved (but not yet
+        # programmed) the tail of the open segment; a torn page is
+        # power-cut residue awaiting erase — neither holds a packet.
+        for ppn, _header in array.readable_headers(
+                seg.written_ppns(start_offset)):
             pending.append(ppn)
             if len(pending) >= batch_size:
                 counters.bump("pages_scanned", len(pending))
@@ -416,21 +415,21 @@ def _read_batch(ftl: "IoSnapDevice", ppns: list, fold, limiter,
                 casualties: list) -> Generator:
     """Issue one vectored burst of OOB reads, fold results, then pace.
 
-    Header reads use the salvage path: an uncorrectable page comes back
-    as None instead of raising (a raise from a spawned-but-not-yet-
-    joined process would be an unobserved failure).  Casualties are
-    struck from the device's structures and reported with the partial
-    map rather than aborting the whole activation.
+    The burst (``NandDevice.read_headers``) hands each header over in
+    list order as soon as it and every page before it are read.  It
+    salvages: an uncorrectable page comes back as None, and the
+    casualty is struck from the device's structures and reported with
+    the partial map rather than aborting the whole activation.
     """
     started = ftl.kernel.now
-    procs = [ftl.kernel.spawn(ftl.nand.read_header(ppn, salvage=True),
-                              name=f"scan@{ppn}") for ppn in ppns]
-    for ppn, proc in zip(ppns, procs):
-        header = yield proc
+
+    def deliver(ppn: int, header) -> None:
         if header is None:
             ftl.record_media_loss(ppn, reason="activation-scan")
             casualties.append(ppn)
-            continue
-        fold(ppn, header)
+        else:
+            fold(ppn, header)
+
+    yield ftl.nand.read_headers(ppns, deliver)
     yield len(ppns) * REPLAY_PACKET_NS
     yield from limiter.pace(ftl.kernel.now - started)

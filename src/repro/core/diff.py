@@ -327,10 +327,8 @@ def _fold_two_paths(device: "IoSnapDevice", base_path: frozenset,
                     and not device.segment_intersects_epochs(seg, union)):
                 counters.bump("segments_skipped")
                 continue
-            for ppn in seg.written_ppns():
-                if (not device.nand.array.is_programmed(ppn)
-                        or device.nand.array.is_torn(ppn)):
-                    continue
+            for ppn, _header in device.nand.array.readable_headers(
+                    seg.written_ppns()):
                 pending.append(ppn)
                 if len(pending) >= batch_size:
                     counters.bump("pages_scanned", len(pending))

@@ -50,10 +50,7 @@ def recompute_segment(array, seg: "Segment") -> Tuple[Set[int], int]:
     """
     epochs: Set[int] = set()
     max_seq = -1
-    for ppn in seg.written_ppns():
-        if not array.is_programmed(ppn) or array.is_torn(ppn):
-            continue
-        header = array.read_header(ppn)
+    for _ppn, header in array.readable_headers(seg.written_ppns()):
         if header.kind in _INDEXED_KINDS:
             epochs.add(header.epoch)
             if header.seq > max_seq:

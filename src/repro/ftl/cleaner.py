@@ -313,14 +313,11 @@ class SegmentCleaner:
                 yield from pacer.pace(self.kernel.now - move_started)
         moves_done_at = self.kernel.now
 
-        for ppn in seg.written_ppns():
-            array = self.ftl.nand.array
-            # Torn pages (power-cut residue) occupy their slot but hold
-            # nothing; they are reclaimed with the segment.
-            header = array.read_header(ppn) \
-                if array.is_programmed(ppn) and not array.is_torn(ppn) \
-                else None
-            if header is None or header.kind is PageKind.DATA:
+        # Torn pages (power-cut residue) occupy their slot but hold
+        # nothing; they are reclaimed with the segment.
+        for ppn, header in self.ftl.nand.array.readable_headers(
+                seg.written_ppns()):
+            if header.kind is PageKind.DATA:
                 continue
             if header.kind is PageKind.MAP:
                 # Copy-forward updates the GTD, never the data map; a

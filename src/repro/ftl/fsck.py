@@ -343,9 +343,7 @@ def _scan_media(device) -> List[Tuple[int, object]]:
     segments = sorted((seg for seg in device.log.segments if seg.seq >= 0),
                       key=lambda seg: seg.seq)
     for seg in segments:
-        for ppn in seg.written_ppns():
-            if array.is_programmed(ppn) and not array.is_torn(ppn):
-                packets.append((ppn, array.read_header(ppn)))
+        packets.extend(array.readable_headers(seg.written_ppns()))
     return packets
 
 

@@ -793,16 +793,17 @@ class VslDevice:
     def state_digest(self) -> str:
         """SHA-256 fingerprint of the simulated outcome so far.
 
-        Covers virtual time, kernel work items, NAND operation counts,
-        per-head appends, cleaner totals, the sorted forward map and
-        :meth:`_digest_extra` (the snapshot list on ioSnap).  Host-side
-        caches and indexes never enter it: a change that keeps the
-        simulation bit-identical keeps the digest.
+        Covers virtual time, NAND operation counts, per-head appends,
+        cleaner totals, the sorted forward map and :meth:`_digest_extra`
+        (the snapshot list on ioSnap).  Host-side caches and indexes
+        never enter it: a change that keeps the simulation bit-identical
+        keeps the digest.  ``kernel.events`` stays out too, so a change
+        that reaches the same outcome with less scheduled work keeps
+        the digest; read that count on its own.
         """
         cleaner = self.cleaner
         state = {
             "now": self.kernel.now,
-            "events": self.kernel.events,
             "nand": sorted(vars(self.nand.stats).items()),
             "appends": sorted(self.log.stats.per_head_appends.items()),
             "cleaner": (cleaner.segments_cleaned, cleaner.segments_retired,

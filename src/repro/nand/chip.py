@@ -8,7 +8,7 @@ Timing and contention live in :mod:`repro.nand.device`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (
     AddressError,
@@ -208,11 +208,42 @@ class NandArray:
         return block.read(page)
 
     def read_header(self, ppn: int) -> OobHeader:
-        return self.read(ppn).header
+        if 0 <= ppn < self._total_pages:
+            record = self._blocks[ppn // self._pages_per_block]._pages.get(
+                ppn % self._pages_per_block)
+            if isinstance(record, PageRecord):
+                return record.header
+        return self.read(ppn).header  # raises the precise error
 
     def is_programmed(self, ppn: int) -> bool:
         block, page = self._locate(ppn)
         return block.is_programmed(page)
+
+    def readable_headers(self, ppns: range) -> Iterator[Tuple[int, OobHeader]]:
+        """``(ppn, header)`` for each page of ``ppns`` holding a packet.
+
+        Skips erased, torn and program-failed pages, walking the array
+        block by block instead of locating every page.  Lazy: a page is
+        looked at only when the consumer pulls it, so a scan that lets
+        virtual time pass between pulls sees each page as of its pull,
+        exactly like a per-page ``is_programmed``/``is_torn`` check.
+        """
+        ppn, stop = ppns.start, ppns.stop
+        if ppn >= stop:
+            return
+        self._locate(ppn)
+        self._locate(stop - 1)
+        per_block = self._pages_per_block
+        while ppn < stop:
+            block_index, page = divmod(ppn, per_block)
+            end = min(stop, ppn - page + per_block)
+            pages = self._blocks[block_index]._pages
+            for ppn in range(ppn, end):
+                record = pages.get(page)
+                page += 1
+                if isinstance(record, PageRecord):
+                    yield ppn, record.header
+            ppn = end
 
     def is_torn(self, ppn: int) -> bool:
         block, page = self._locate(ppn)

@@ -1,14 +1,17 @@
 """Timed NAND device: the array plus channels, dies, and latencies.
 
-All public operations are *simulation processes* (generators to be
-driven by :class:`repro.sim.Kernel`):
+The timed operations, driven by :class:`repro.sim.Kernel`:
 
-- :meth:`NandDevice.read_page`
-- :meth:`NandDevice.program_page` (async ack after bus transfer;
-  the die stays busy in the background, as write-buffered controllers do)
-- :meth:`NandDevice.program_page_sync` (ack after the die finishes)
-- :meth:`NandDevice.erase_block`
-- :meth:`NandDevice.read_header` (OOB-only read: cheaper transfer)
+- :meth:`NandDevice.read_page` (process)
+- :meth:`NandDevice.program_page` (process; async ack after bus
+  transfer, the die stays busy in the background, as write-buffered
+  controllers do — yield the returned event to wait for the die)
+- :meth:`NandDevice.erase_block` (process)
+- :meth:`NandDevice.read_header` (process; OOB-only read: a full sense
+  but a tiny bus transfer)
+- :meth:`NandDevice.read_headers` (not a process: starts a burst of
+  OOB reads as kernel callbacks and returns the event that fires when
+  the last one completes — what log scans use)
 
 Contention model: each *channel* is a capacity-1 resource shared by its
 dies (bus transfers serialize); each *die* is a capacity-1 resource
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import (
     EraseFailError,
@@ -35,7 +38,7 @@ from repro.nand.chip import NandArray, PageRecord
 from repro.nand.geometry import NandConfig
 from repro.nand.oob import HEADER_SIZE, OobHeader
 from repro.nand.queue import SubmissionQueues
-from repro.sim import Kernel, Resource
+from repro.sim import Event, Kernel, Resource
 from repro.sim.stats import Counters
 from repro.torture import sites
 
@@ -88,6 +91,138 @@ class _ProgramFinish:
     def __call__(self) -> None:
         self.die.release()
         self.done.trigger()
+
+
+# _HeaderRead stages, named by what the read's next step does.
+_START, _SENSE, _RETRY, _FREE_DIE, _XFER, _FINISH, _DONE = range(7)
+
+
+class _HeaderRead:
+    """One OOB header read's die and channel steps.
+
+    :meth:`advance` runs the steps up to the next wait and returns it:
+    a delay in ns, a :class:`Resource` whose ``try_acquire`` just
+    failed, or ``None`` once the read is accounted (``header`` is then
+    the header, or ``None`` if the ECC gave up).  Two drivers exist:
+    :meth:`NandDevice.read_header` runs it inside the calling process
+    (``yield`` the delay, ``yield res.acquire()``), and a burst runs it
+    from kernel callbacks (:meth:`__call__`: a timer for a delay,
+    :meth:`Resource.park` for a busy unit).  A process resume and a
+    callback take the same ready-queue or timer slot, so the die and
+    channel see the same grants in the same order under both.
+    """
+
+    __slots__ = ("device", "ppn", "header", "die", "channel", "resolution",
+                 "stage", "burst")
+
+    def __init__(self, device: "NandDevice", ppn: int,
+                 burst: Optional["_HeaderBurst"] = None) -> None:
+        self.device = device
+        self.ppn = ppn
+        # Validates (unprogrammed, torn) before any time passes.
+        self.header: Optional[OobHeader] = device.array.read_header(ppn)
+        self.die, self.channel = \
+            device._res_by_die[ppn // device._pages_per_die]
+        self.resolution: Optional[ReadResolution] = None
+        self.stage = _START
+        self.burst = burst
+
+    @property
+    def name(self) -> str:
+        """Waits-for graph label for a parked burst read."""
+        assert self.burst is not None
+        return f"header-burst@{self.burst.reads[0].ppn}: ppn {self.ppn}"
+
+    def advance(self) -> Any:
+        device = self.device
+        stage = self.stage
+        if stage == _START:
+            self.resolution = device._resolve_read(self.ppn)
+            stage = self.stage = _SENSE
+            if not self.die.try_acquire():  # lint: allow-unbalanced-acquire(a later step of this read releases it; read_header's finally covers a kill)
+                return self.die
+        if stage == _SENSE:
+            self.stage = _RETRY
+            return device.timing.read_page_ns
+        if stage == _RETRY:
+            resolution = self.resolution
+            stage = self.stage = _FREE_DIE
+            if resolution is not None and resolution.retries:
+                return device._retry_cost_ns(resolution)
+        if stage == _FREE_DIE:
+            self.die.release()
+            stage = self.stage = _XFER
+            if not self.channel.try_acquire():  # lint: allow-unbalanced-acquire(a later step of this read releases it; read_header's finally covers a kill)
+                return self.channel
+        if stage == _XFER:
+            self.stage = _FINISH
+            return device._header_xfer_ns
+        self.channel.release()
+        self.stage = _DONE
+        resolution = self.resolution
+        if resolution is not None:
+            device._account_read(self.ppn, resolution)
+            if not resolution.ok:
+                self.header = None
+                return None
+        device.stats.header_reads += 1
+        device.stats.bytes_read += HEADER_SIZE
+        return None
+
+    def abandon(self) -> None:
+        """Free the unit a killed reader holds mid-step (crash semantics)."""
+        if self.stage in (_RETRY, _FREE_DIE):
+            self.die.release()
+        elif self.stage == _FINISH:
+            self.channel.release()
+
+    def __call__(self) -> None:
+        """Burst driver: one step, then schedule the next as a callback."""
+        wait = self.advance()
+        if wait is None:
+            assert self.burst is not None
+            self.burst.completed(self)
+        elif wait.__class__ is int:
+            kernel = self.device.kernel
+            kernel.call_at(kernel.now + wait, self)
+        else:
+            wait.park(self)
+
+
+class _HeaderBurst:
+    """Header reads started together by one kernel work item."""
+
+    __slots__ = ("reads", "deliver", "done", "_next")
+
+    def __init__(self, device: "NandDevice", ppns: List[int],
+                 deliver: Callable[[int, Optional[OobHeader]], None]) -> None:
+        self.reads = [_HeaderRead(device, ppn, self) for ppn in ppns]
+        self.deliver = deliver
+        self.done = device.kernel.event()
+        self._next = 0
+
+    def __call__(self) -> None:
+        # The start item: every read's first step, in list order.
+        for read in self.reads:
+            read()
+
+    def completed(self, read: _HeaderRead) -> None:
+        """``read`` finished: hand over the completed prefix, in order."""
+        reads = self.reads
+        index = self._next
+        if reads[index] is not read:
+            return  # an earlier page is still in flight
+        while index < len(reads) and reads[index].stage == _DONE:
+            read = reads[index]
+            self.deliver(read.ppn, read.header)
+            index += 1
+        self._next = index
+        if index == len(reads):
+            # Each read points back at the burst: drop the cycle so
+            # reference counting frees the reads now, not a later
+            # cyclic collection (which a long scan would outpace).
+            self.reads = []
+            self.done.trigger()
 
 
 class NandDevice:
@@ -223,41 +358,53 @@ class NandDevice:
     def read_header(self, ppn: int, salvage: bool = False) -> Generator:
         """OOB-only read: full array sense but a tiny bus transfer.
 
-        This is the operation activation/recovery scans are built on.
-        ``salvage=True`` returns ``None`` instead of raising on an
-        uncorrectable read — batched scans spawn many of these as
-        concurrent processes, and a damage-tolerant scan must observe
-        the loss, not die from an unjoined process failure.
+        The sequential form, for recovery and tests: it runs the same
+        steps as a :meth:`read_headers` burst, inline in the calling
+        process.  An uncorrectable read raises
+        :class:`UncorrectableError`; ``salvage=True`` returns ``None``
+        instead, for a damage-tolerant scan that must observe the loss.
         """
-        header = self.array.read_header(ppn)
-        resolution = self._resolve_read(ppn)
-        die, channel = self._resources_for(ppn)
-        if not die.try_acquire():
-            yield die.acquire()
+        read = _HeaderRead(self, ppn)
         try:
-            yield self.timing.read_page_ns
-            if resolution is not None and resolution.retries:
-                yield self._retry_cost_ns(resolution)
+            wait = read.advance()
+            while wait is not None:
+                if wait.__class__ is int:
+                    yield wait
+                else:
+                    yield wait.acquire()  # lint: allow-unbalanced-acquire(the read's next step releases it; abandon() below covers a kill)
+                wait = read.advance()
         finally:
-            die.release()
-        if not channel.try_acquire():
-            yield channel.acquire()
-        try:
-            yield self._header_xfer_ns
-        finally:
-            channel.release()
-        if resolution is not None:
-            self._account_read(ppn, resolution)
-            if not resolution.ok:
-                if salvage:
-                    return None
-                raise UncorrectableError(
-                    f"uncorrectable header read at ppn {ppn} "
-                    f"({resolution.error_bits} error bits after "
-                    f"{resolution.retries} retries)")
-        self.stats.header_reads += 1
-        self.stats.bytes_read += HEADER_SIZE
-        return header
+            read.abandon()
+        if read.header is None and not salvage:
+            resolution = read.resolution
+            assert resolution is not None
+            raise UncorrectableError(
+                f"uncorrectable header read at ppn {ppn} "
+                f"({resolution.error_bits} error bits after "
+                f"{resolution.retries} retries)")
+        return read.header
+
+    def read_headers(self, ppns: List[int],
+                     deliver: Callable[[int, Optional[OobHeader]], None],
+                     ) -> Event:
+        """Start a burst of OOB header reads; return its completion event.
+
+        No process per page: one kernel work item starts every read in
+        list order, and each read then steps through die, sense (plus
+        any ECC retry ladder), channel and transfer as kernel callbacks
+        (the die/channel protocol is :meth:`read_header`'s).
+        ``deliver(ppn, header)`` is called in list order as soon as the
+        list prefix up to that page has completed; ``header`` is
+        ``None`` for an uncorrectable page (always salvage).  The event
+        fires once the last read completes.  Every page must hold a
+        readable packet (checked here, before any time passes).
+        """
+        burst = _HeaderBurst(self, ppns, deliver)
+        if not ppns:
+            burst.done.trigger()
+            return burst.done
+        self.kernel.call_at(self.kernel.now, burst)
+        return burst.done
 
     def program_page(self, ppn: int, header: OobHeader,
                      data: Optional[bytes],

@@ -347,7 +347,11 @@ class Kernel:
         return blocked
 
     def waits_for_graph(self) -> List[dict]:
-        """The waits-for graph as data: who waits on what, who holds it."""
+        """The waits-for graph as data: who waits on what, who holds it.
+
+        Parked processes come first, then callback waiters parked on a
+        resource (see ``Resource.park``), listed under their ``name``.
+        """
         graph: List[dict] = []
         for proc, target in self.blocked_processes():
             entry: dict = {"process": proc.name}
@@ -361,10 +365,14 @@ class Kernel:
                     entry["holders"] = []
                 else:
                     entry["waits_on"] = res.describe()
-                    entry["holders"] = [
-                        h.name if h is not None else "<main>"
-                        for h in res._holders]
+                    entry["holders"] = res.holder_names()
             graph.append(entry)
+        for res in self._resources:
+            for waiter, _actor in res._waiting:
+                if waiter.__class__ is not Event:
+                    graph.append({"process": waiter.name,
+                                  "waits_on": res.describe(),
+                                  "holders": res.holder_names()})
         return graph
 
     def _deadlock_report(self, root: Process) -> str:

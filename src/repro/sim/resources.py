@@ -18,12 +18,17 @@ and the kill sanitizer read.  A deliberate
 cross-process transfer (the buffered-program die, freed later by a
 timer callback) calls :meth:`hand_off` so the bookkeeping follows the
 protocol instead of blaming the original acquirer.
+
+Plain kernel callbacks (no process behind them) wait with :meth:`park`
+instead of an event: the grant schedules the callback as one ready
+item, in the slot a parked process's resume would take, and the unit
+is held anonymously, as after :meth:`hand_off`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from repro.sim.kernel import Event, Kernel, SimError
 
@@ -42,8 +47,9 @@ class Resource:
         # Current holders: the process (or None for the main thread /
         # an anonymous hand-off) per held unit of capacity.
         self._holders: List[Any] = []
-        # Parked acquirers: (event, process-at-call-time) in FIFO order.
-        self._waiting: Deque[Tuple[Event, Any]] = deque()
+        # Parked acquirers in FIFO order: (event, process-at-call-time),
+        # or (callback, None) for a callback waiter (see park()).
+        self._waiting: Deque[Tuple[Any, Any]] = deque()
         kernel._resources.append(self)
 
     def describe(self) -> str:
@@ -88,21 +94,42 @@ class Resource:
             return True
         return False
 
+    def park(self, callback: Callable[[], None]) -> None:
+        """Queue a plain callback behind the current holders.
+
+        For kernel callbacks, which have no process to resume: call it
+        after :meth:`try_acquire` fails.  When the unit is granted,
+        ``callback`` runs as one ready item, in the FIFO slot a parked
+        process's resume would have taken, holding the unit anonymously
+        (holder ``None``).  ``callback.name`` labels it in the kernel's
+        waits-for graph.
+        """
+        self._waiting.append((callback, None))
+
     def release(self) -> None:
         """Give back one unit of capacity, waking the next waiter if any."""
-        actor = self.kernel.current
         if self._in_use <= 0:
+            actor = self.kernel.current
             who = actor.name if actor is not None else "<main>"
             raise SimError(
                 f"{self.describe()}: release() without matching acquire() "
                 f"by process {who!r}")
-        self._ungrant(actor)
+        holders = self._holders
+        if len(holders) == 1:
+            # Every capacity-1 resource: the only holder is the one
+            # _ungrant's search would retire.
+            holders.pop()
+        else:
+            self._ungrant(self.kernel.current)
         if self._waiting:
             # Hand the capacity straight to the next waiter: _in_use
             # stays constant across the hand-off.
             ev, waiter = self._waiting.popleft()
-            self._holders.append(waiter)
-            ev.trigger()
+            holders.append(waiter)
+            if ev.__class__ is Event:
+                ev.trigger()
+            else:
+                self.kernel._push(0, None, ev, None)
         else:
             self._in_use -= 1
 

@@ -6,6 +6,9 @@ plain kernel, not the opt-in detector.
 
 import pytest
 
+from repro.nand.device import NandDevice
+from repro.nand.geometry import NandConfig, NandGeometry
+from repro.nand.oob import OobHeader, PageKind
 from repro.sim import Kernel, Lock, SimError
 
 
@@ -99,3 +102,37 @@ def test_deadlock_report_without_parked_process(kernel):
 
     with pytest.raises(SimError, match="deadlocked"):
         kernel.run_process(stuck(), name="stuck")
+
+
+def test_stalled_header_burst_names_the_die_it_waits_on(kernel):
+    """A burst read has no process; the report still names its wait."""
+    geometry = NandGeometry(page_size=4096, pages_per_block=8,
+                            blocks_per_die=4, dies=2, channels=1)
+    device = NandDevice(kernel, NandConfig(geometry=geometry))
+    die1 = geometry.pages_per_die
+
+    def program():
+        for ppn in (0, die1):
+            done = yield from device.program_page(
+                ppn, OobHeader(kind=PageKind.DATA, lba=ppn), None)
+            yield done
+
+    kernel.run_process(program())
+    die = device._dies[1]
+
+    def hog():
+        yield die.acquire()
+        die.hand_off()        # the die is never released
+
+    kernel.run_process(hog(), name="hog")
+
+    def scan():
+        yield device.read_headers([0, die1], lambda ppn, header: None)
+
+    with pytest.raises(SimError) as exc_info:
+        kernel.run_process(scan(), name="scanner")
+    message = str(exc_info.value)
+    assert "'scanner' waits on an untriggered event" in message
+    assert (f"'header-burst@0: ppn {die1}' waits on Resource 'nand.die:1' "
+            "held by '<main>'") in message
+    assert device.stats.header_reads == 1   # the die-0 read completed
